@@ -173,7 +173,7 @@ class _ProblemBuilder:
         self.procedure: Procedure | None = None
         self.givens: dict[str, Quantity] = {}
         self.parameters: dict[str, Sexa] = {}
-        self.steps: list[ExpectedStep] = []
+        self.steps: dict[str, ExpectedStep] = {}
         self.answers: dict[str, Quantity] = {}
 
     def finish(self) -> TabletProblem:
@@ -190,8 +190,14 @@ class _ProblemBuilder:
                 line=self.line_no)
         return TabletProblem(
             id=self.id, procedure=self.procedure, givens=self.givens,
-            parameters=self.parameters, expected_steps=tuple(self.steps),
+            parameters=self.parameters,
+            expected_steps=tuple(self.steps.values()),
             expected_answers=self.answers)
+
+
+def _check_new(table: dict, key: str, what: str, line_no: int) -> None:
+    if key in table:
+        raise CorpusParseError(f"duplicate {what} {key!r}", line=line_no)
 
 
 def _parse_literal(text: str, line_no: int, line: str) -> Sexa:
@@ -217,7 +223,16 @@ def load_corpus(path: str | os.PathLike | None = None) -> list[TabletProblem]:
     """
     if path is None:
         path = os.environ.get("SEXAKIT_CORPUS") or bundled_corpus_path()
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CorpusParseError(
+            f"cannot read corpus {str(path)!r}: {exc.strerror or exc}"
+        ) from exc
+    except UnicodeDecodeError as exc:
+        raise CorpusParseError(
+            f"corpus {str(path)!r} is not UTF-8 text: {exc.reason} "
+            f"at byte {exc.start}") from exc
 
     problems: list[TabletProblem] = []
     seen: set[str] = set()
@@ -269,6 +284,7 @@ def load_corpus(path: str | os.PathLike | None = None) -> list[TabletProblem]:
             if not name or not value:
                 raise CorpusParseError("given needs '<name> = <literal> "
                                        "<unit>'", line=line_no)
+            _check_new(builder.givens, name, "given", line_no)
             builder.givens[name] = _parse_quantity_field(value, line_no, raw)
         elif kind == "param":
             name, _, value = rest.partition("=")
@@ -276,6 +292,7 @@ def load_corpus(path: str | os.PathLike | None = None) -> list[TabletProblem]:
             if not name or not value:
                 raise CorpusParseError("param needs '<name> = <literal>'",
                                        line=line_no)
+            _check_new(builder.parameters, name, "param", line_no)
             builder.parameters[name] = _parse_literal(value, line_no, raw)
         else:  # expect
             sub, _, tail = rest.partition(" ")
@@ -289,15 +306,12 @@ def load_corpus(path: str | os.PathLike | None = None) -> list[TabletProblem]:
                     raise CorpusParseError(
                         "expect step needs '<label> = <literal> @ <line-tag>'",
                         line=line_no)
-                if any(s.label == name for s in builder.steps):
-                    raise CorpusParseError(
-                        f"duplicate step label {name!r}", line=line_no)
-                uncertain = tag.endswith("?")
-                builder.steps.append(ExpectedStep(
+                _check_new(builder.steps, name, "step label", line_no)
+                builder.steps[name] = ExpectedStep(
                     label=name,
                     value=_parse_literal(literal, line_no, raw),
                     line=tag.rstrip("?"),
-                    uncertain=uncertain))
+                    uncertain=tag.endswith("?"))
             elif sub == "answer":
                 name, _, value = tail.partition("=")
                 name, value = name.strip(), value.strip()
@@ -305,6 +319,7 @@ def load_corpus(path: str | os.PathLike | None = None) -> list[TabletProblem]:
                     raise CorpusParseError(
                         "expect answer needs '<name> = <literal> <unit>'",
                         line=line_no)
+                _check_new(builder.answers, name, "answer", line_no)
                 builder.answers[name] = _parse_quantity_field(
                     value, line_no, raw)
             else:

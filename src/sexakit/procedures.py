@@ -70,14 +70,27 @@ class Step:
 
 @dataclass
 class StepTrace:
-    """Ordered, uniquely-labelled record of intermediate values."""
+    """Ordered, uniquely-labelled record of intermediate values.
+
+    A label index kept beside ``steps`` makes ``record`` (with its
+    duplicate check), lookup and ``in`` constant-time, so a trace of n
+    steps costs O(n) to build, not O(n**2).  Append through ``record``
+    only; the index does not see edits made to ``steps`` directly.
+    """
 
     steps: list[Step] = field(default_factory=list)
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._index = {}
+        for i, step in enumerate(self.steps):
+            self._index.setdefault(step.label, i)
 
     def record(self, label: str, value: TraceValue,
                source: str = "derived") -> TraceValue:
-        if any(s.label == label for s in self.steps):
+        if label in self._index:
             raise ProcedureError("trace", label, ValueError("duplicate label"))
+        self._index[label] = len(self.steps)
         self.steps.append(Step(label, value, source))
         return value
 
@@ -98,13 +111,10 @@ class StepTrace:
         return [s.magnitude() for s in self.steps]
 
     def __getitem__(self, label: str) -> TraceValue:
-        for step in self.steps:
-            if step.label == label:
-                return step.value
-        raise KeyError(label)
+        return self.steps[self._index[label]].value
 
     def __contains__(self, label: str) -> bool:
-        return any(s.label == label for s in self.steps)
+        return label in self._index
 
     def to_text(self) -> str:
         lines = []

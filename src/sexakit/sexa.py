@@ -20,6 +20,18 @@ implemented as multiplication by a reciprocal) insist on them.
 
 Everything here is immutable and pure; values are safe to share between
 threads.
+
+Cost model, for a value of n digit groups.  Parsing folds every group
+into one integer, rendering peels five digits per big-integer division,
+and stripping 2, 3 and 5 (``is_regular``, ``reciprocal``) takes one shift
+and O(log e) divisions per prime power p**e.  So the Python-level work is
+at most one step per group, but each step's big-integer arithmetic is
+linear in the length of the number: all three keep a quadratic term, and
+doubling n at a few thousand groups costs 3x to 4x.  Rejecting an
+irregular number is the exception: naming the prime in
+``IrregularDivisor``/``NonTerminating`` trial-divides the non-smooth part
+m by the integers coprime to 30, up to its smallest prime p, or up to
+sqrt(m) when m is prime: about p/4 or sqrt(m)/4 divisions, whatever n is.
 """
 
 from __future__ import annotations
@@ -56,7 +68,10 @@ __all__ = [
 
 SexaLike = Union["Sexa", Fraction, int]
 
-_SMOOTH_PRIMES = (2, 3, 5)
+#: Gaps between successive integers coprime to 30, starting from 7.
+_WHEEL_GAPS = (4, 2, 4, 2, 4, 6, 2, 6)
+#: Five base-60 digits, below 2**30: one CPython digit per division.
+_CHUNK = 60 ** 5
 
 
 def _wrap(value):
@@ -226,49 +241,76 @@ def parse(text: str) -> Sexa:
     int_groups = _split_groups(head, text)
     frac_groups = _split_groups(tail, text) if sep else []
     value = 0
-    for d in int_groups:
+    for d in int_groups + frac_groups:
         value = value * 60 + d
-    result = Fraction(value)
-    for i, d in enumerate(frac_groups, start=1):
-        result += Fraction(d, 60 ** i)
     if negative:
-        result = -result
-    return Sexa(result)
+        value = -value
+    return Sexa(value, 60 ** len(frac_groups))
 
 
 def _strip_smooth(n: int) -> tuple[int, dict[int, int]]:
-    """Divide out all factors of 2, 3, 5; return (leftover, exponents)."""
-    exponents = {}
-    for p in _SMOOTH_PRIMES:
+    """Divide every factor 2, 3, 5 out of n > 0; return (leftover, exponents).
+
+    Twos go in one shift.  Threes and fives go by repeated squaring of the
+    divisor, so p**e costs O(log e) divisions, not e.
+    """
+    twos = (n & -n).bit_length() - 1
+    n >>= twos
+    exponents = {2: twos}
+    for p in (3, 5):
         count = 0
         while n % p == 0:
-            n //= p
-            count += 1
+            power, k = p, 1
+            while n % (power * power) == 0:
+                power, k = power * power, k * 2
+            n //= power
+            count += k
         exponents[p] = count
     return n, exponents
 
 
 def _smallest_prime_factor(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 2
-    return n
+    for p in (2, 3, 5):
+        if n % p == 0:
+            return p
+    f = 7
+    while True:
+        for gap in _WHEEL_GAPS:
+            if f * f > n:
+                return n
+            if n % f == 0:
+                return f
+            f += gap
 
 
-def _expansion_exponent(den: int) -> int | None:
-    """Smallest k with den | 60**k, or None when no such k exists.
+def _expansion_exponent(den: int) -> tuple[int, int]:
+    """(leftover, k): den without its factors 2, 3, 5, and the smallest k
+    with den | 60**k, which exists only when leftover == 1.
 
     Minimality is what guarantees the canonical no-trailing-zero property
     of the fractional part.
     """
     leftover, exp = _strip_smooth(den)
-    if leftover != 1:
-        return None
-    return max((exp[2] + 1) // 2, exp[3], exp[5])
+    return leftover, max((exp[2] + 1) // 2, exp[3], exp[5])
+
+
+def _digits(f: Fraction, k: int) -> SexaDigits:
+    """Digit form of f, whose denominator divides 60**k."""
+    scaled = abs(f.numerator) * (60 ** k // f.denominator)
+    digits = []
+    while scaled >= _CHUNK:
+        scaled, chunk = divmod(scaled, _CHUNK)
+        for _ in range(5):
+            chunk, d = divmod(chunk, 60)
+            digits.append(d)
+    while scaled:
+        scaled, d = divmod(scaled, 60)
+        digits.append(d)
+    while len(digits) < k + 1:
+        digits.append(0)
+    digits.reverse()
+    sign = -1 if f.numerator < 0 else 1
+    return SexaDigits(sign, tuple(digits), len(digits) - k)
 
 
 def decompose(x: SexaLike) -> SexaDigits:
@@ -277,23 +319,10 @@ def decompose(x: SexaLike) -> SexaDigits:
     Raises NonTerminating when the reduced denominator is not 60-smooth.
     """
     f = Fraction(x)
-    if f == 0:
-        return SexaDigits(1, (0,), 1)
-    num, den = abs(f.numerator), f.denominator
-    k = _expansion_exponent(den)
-    if k is None:
-        leftover, _ = _strip_smooth(den)
+    leftover, k = _expansion_exponent(f.denominator)
+    if leftover != 1:
         raise NonTerminating(Sexa(f), _smallest_prime_factor(leftover))
-    scaled = num * (60 ** k // den)
-    digits = []
-    while scaled:
-        scaled, d = divmod(scaled, 60)
-        digits.append(d)
-    while len(digits) < k + 1:
-        digits.append(0)
-    digits.reverse()
-    sign = -1 if f < 0 else 1
-    return SexaDigits(sign, tuple(digits), len(digits) - k)
+    return _digits(f, k)
 
 
 def render(x: SexaLike, fraction_fallback: bool = False) -> str:
@@ -303,9 +332,12 @@ def render(x: SexaLike, fraction_fallback: bool = False) -> str:
     ``fraction_fallback=True`` to get "p/q" text instead.
     """
     f = Fraction(x)
-    if fraction_fallback and _expansion_exponent(f.denominator) is None:
-        return f"{f.numerator}/{f.denominator}"
-    return decompose(f).to_string()
+    leftover, k = _expansion_exponent(f.denominator)
+    if leftover != 1:
+        if fraction_fallback:
+            return f"{f.numerator}/{f.denominator}"
+        raise NonTerminating(Sexa(f), _smallest_prime_factor(leftover))
+    return _digits(f, k).to_string()
 
 
 def add(x: SexaLike, y: SexaLike) -> Sexa:

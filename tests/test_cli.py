@@ -208,6 +208,17 @@ class TestReplayCommand:
         assert code == EXIT_INPUT
         assert "61" in err
 
+    @pytest.mark.parametrize("target", ["missing", "directory", "latin1"])
+    def test_unreadable_corpus_exits_two(self, capsys, tmp_path, target):
+        path = {"missing": tmp_path / "missing.corpus",
+                "directory": tmp_path,
+                "latin1": tmp_path / "latin1.corpus"}[target]
+        (tmp_path / "latin1.corpus").write_bytes(b"# k\xf9\n")
+        code, out, err = run(capsys, "replay", "--all", "--corpus", str(path))
+        assert code == EXIT_INPUT
+        assert out == "" and err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_env_var_override(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "alt.corpus"
         path.write_text("\n".join([

@@ -111,6 +111,28 @@ class TestLoad:
             load_corpus(write_corpus(tmp_path, text))
         assert fragment.split()[-1] in str(err.value)
 
+    @pytest.mark.parametrize("line,what", [
+        ("given V = 1 volume-sar", "given 'V'"),
+        ("param A = 2", "param 'A'"),
+        ("expect answer u = 1 nindan", "answer 'u'"),
+    ])
+    def test_repeated_key_rejected_with_line(self, tmp_path, line, what):
+        text = ("[problem t.p1]\nprocedure = quadratic\nparam A = 1\n"
+                "param B = 1\nparam C = 1\ngiven V = 1 volume-sar\n"
+                "expect answer u = 1 nindan\n" + line + "\n")
+        with pytest.raises(CorpusParseError) as err:
+            load_corpus(write_corpus(tmp_path, text))
+        assert err.value.line == 8
+        assert f"duplicate {what}" in str(err.value)
+
+    def test_unreadable_file_is_parse_error(self, tmp_path):
+        not_utf8 = tmp_path / "latin1.corpus"
+        not_utf8.write_bytes(b"[problem t.p1]\n# k\xf9\n")
+        for path in (tmp_path / "missing.corpus", tmp_path, not_utf8):
+            with pytest.raises(CorpusParseError) as err:
+                load_corpus(path)
+            assert str(path) in str(err.value)
+
     def test_seven_bit_only(self, tmp_path):
         path = write_corpus(tmp_path, "[problem t.p1]\n# kùš\n")
         with pytest.raises(CorpusParseError):

@@ -220,6 +220,31 @@ class TestStepTrace:
         with pytest.raises(KeyError):
             trace["b"]
 
+    def test_extend_rejects_duplicates(self):
+        head, tail = StepTrace(), StepTrace()
+        head.record("a", Sexa(1))
+        tail.record("b", Sexa(2))
+        tail.record("a", Sexa(3))
+        with pytest.raises(ProcedureError):
+            head.extend(tail)
+        assert head.labels() == ["a", "b"]
+        assert head["b"] == 2 and head["a"] == 1
+
+    def test_index_follows_steps(self):
+        built = StepTrace()
+        for i in range(2000):
+            built.record(f"s{i}", Sexa(i))
+        assert all(built[f"s{i}"] == i for i in range(0, 2000, 97))
+        assert "s1999" in built and "s2000" not in built
+        # A trace built from steps indexes them; the index is not state
+        # that repr or equality see.
+        rebuilt = StepTrace(list(built.steps))
+        assert rebuilt == built and repr(rebuilt) == repr(built)
+        assert rebuilt["s1234"] == 1234
+        with pytest.raises(ProcedureError):
+            rebuilt.record("s0", Sexa(0))
+        assert "_index" not in repr(StepTrace())
+
     def test_text_and_dict_forms(self):
         trace = StepTrace()
         trace.record("half", Sexa("0;30"), source="rev.11")

@@ -1,5 +1,6 @@
 """Number core: literals, rendering, regularity, reciprocals, roots."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,8 @@ from sexakit.errors import (
 )
 from sexakit.sexa import (
     Sexa,
+    _smallest_prime_factor,
+    _strip_smooth,
     SexaDigits,
     add,
     decompose,
@@ -304,3 +307,131 @@ class TestDigits:
     def test_invariants_enforced(self, sign, digits, offset):
         with pytest.raises(ValueError):
             SexaDigits(sign, digits, offset)
+
+
+# -- the bulk kernels against one-step-at-a-time references -------------------
+
+def naive_value(negative, int_digits, frac_digits):
+    """A literal's value summed one Fraction per digit group."""
+    value = Fraction(0)
+    for d in int_digits:
+        value = value * 60 + d
+    for i, d in enumerate(frac_digits, start=1):
+        value += Fraction(d, 60 ** i)
+    return -value if negative else value
+
+
+def naive_render(x):
+    """Canonical literal for a 60-smooth x, one digit per step."""
+    x = Fraction(x)
+    whole, rest = divmod(abs(x), 1)
+    head = []
+    while True:
+        whole, d = divmod(whole, 60)
+        head.append(d)
+        if not whole:
+            break
+    tail = []
+    while rest:
+        rest *= 60
+        d = rest.numerator // rest.denominator
+        tail.append(d)
+        rest -= d
+    text = ",".join(map(str, reversed(head)))
+    if tail:
+        text += ";" + ",".join(map(str, tail))
+    return ("-" if x < 0 else "") + text
+
+
+def naive_strip(n):
+    exponents = {}
+    for p in (2, 3, 5):
+        exponents[p] = 0
+        while n % p == 0:
+            n //= p
+            exponents[p] += 1
+    return n, exponents
+
+
+def naive_smallest_prime_factor(n):
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return f
+        f += 1
+    return n
+
+
+# Runs of one digit, so zero runs and five-digit chunk boundaries both occur.
+digit_runs = st.lists(
+    st.tuples(st.sampled_from([0, 0, 1, 30, 59]) | st.integers(0, 59),
+              st.integers(1, 7)),
+    max_size=6,
+).map(lambda runs: [d for d, n in runs for _ in range(n)])
+
+
+class TestBulkKernels:
+    @given(st.booleans(), digit_runs, digit_runs)
+    def test_literal_round_trip_across_chunks(self, negative, head, tail):
+        head = head or [0]
+        text = ",".join(map(str, head))
+        if tail:
+            text += ";" + ",".join(map(str, tail))
+        if negative:
+            text = "-" + text
+        expected = naive_value(negative, head, tail)
+        x = parse(text)
+        assert x == expected
+        assert render(x) == naive_render(expected)
+        assert parse(render(x)) == x
+
+    @pytest.mark.parametrize("x", [
+        60**5 - 1, 60**5, 60**5 + 1, 59 * 60**5,
+        60**10 - 1, 60**10, 60**10 + 1, 7 * 60**10, -60**10, 60**15 - 60**5,
+        Fraction(1, 60**5), Fraction(1, 60**10), Fraction(60**10 - 1, 60**10),
+        -Fraction(1, 60**5), Fraction(1, 2**50), Fraction(3**40, 5**30),
+    ])
+    def test_render_at_chunk_boundaries(self, x):
+        text = render(x)
+        assert text == naive_render(x)
+        assert parse(text) == x
+        assert decompose(x).value() == x
+
+    @given(st.integers(0, 300), st.integers(0, 300), st.integers(0, 300),
+           st.integers(1, 10**12))
+    def test_strip_smooth_matches_one_factor_loop(self, a, b, c, m):
+        n = 2**a * 3**b * 5**c * m
+        assert _strip_smooth(n) == naive_strip(n)
+
+    @pytest.mark.parametrize("n", [
+        1, 2**10000, 3**5000 * 7, 5**4097, 2**63 * 3**64 * 5**65 * 11**3,
+    ])
+    def test_strip_smooth_large_powers(self, n):
+        assert _strip_smooth(n) == naive_strip(n)
+
+    def test_smallest_prime_factor_matches_trial_division(self):
+        for n in range(1, 10**5 + 1):
+            assert _smallest_prime_factor(n) == \
+                naive_smallest_prime_factor(n), n
+
+    @pytest.mark.parametrize("n,p", [
+        (49, 7), (121, 11), (77, 7), (169, 13), (23 * 29, 23), (29 * 31, 29),
+        (31 * 37, 31), (37 * 41, 37), (99991, 99991), (100003**2, 100003),
+        (99991 * 100003, 99991),
+    ])
+    def test_smallest_prime_factor_near_wheel_gaps(self, n, p):
+        assert _smallest_prime_factor(n) == naive_smallest_prime_factor(n) == p
+
+    def test_long_regular_literal_stays_fast(self):
+        # 3**b / 2**a with about 20 000 digit groups.  Parsing one Fraction
+        # per group and stripping one factor per division take minutes on
+        # it; the bulk kernels take well under a second.
+        x = Fraction(3**47000, 2**40000)
+        start = time.perf_counter()
+        text = render(x)
+        assert parse(text) == x
+        assert is_regular(x)
+        assert reciprocal(x) == 1 / x
+        elapsed = time.perf_counter() - start
+        assert len(text.replace(";", ",").split(",")) >= 20000
+        assert elapsed < 5, f"{elapsed:.2f} s"

@@ -64,6 +64,10 @@ _INPUT_ERRORS = (MalformedLiteral, ExpressionError, CorpusParseError,
 
 _OPERATORS = {"+", "-", "*", "/", "(", ")"}
 _LITERAL_CHARS = set("0123456789,;:")
+#: Deepest nesting of "(" and unary "-" that ``eval`` accepts; each level
+#: is at most four Python frames, so this stays well inside the recursion
+#: limit.
+_MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list[str]:
@@ -108,6 +112,7 @@ class _Evaluator:
         self.tokens = tokens
         self.pos = 0
         self.divide = divide
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -141,18 +146,29 @@ class _Evaluator:
             value = value * right if op == "*" else self.divide(value, right)
         return value
 
+    def nest(self) -> None:
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ExpressionError(
+                f"expression nests deeper than {_MAX_NESTING} levels")
+
     def unary(self) -> Sexa:
         if self.peek() == "-":
             self.next()
-            return -self.unary()
+            self.nest()
+            value = -self.unary()
+            self.depth -= 1
+            return value
         return self.atom()
 
     def atom(self) -> Sexa:
         token = self.next()
         if token == "(":
+            self.nest()
             value = self.expression()
             if self.next() != ")":
                 raise ExpressionError("missing closing parenthesis")
+            self.depth -= 1
             return value
         if token in _OPERATORS:
             raise ExpressionError(f"expected a literal, got {token!r}")

@@ -485,9 +485,13 @@ def replay(problem: TabletProblem) -> ReplayReport:
             continue
         value = trace[expected.label]
         got = value.magnitude if isinstance(value, Quantity) else value
-        status = "MATCH" if got == expected.value else "MISMATCH"
-        rows.append(CheckRow("step", expected.label, status,
-                             render(expected.value), render(got),
+        # Exactly equal values render identically: a MATCH renders once.
+        text = render(expected.value)
+        if got == expected.value:
+            status, got_text = "MATCH", text
+        else:
+            status, got_text = "MISMATCH", render(got)
+        rows.append(CheckRow("step", expected.label, status, text, got_text,
                              expected.line, expected.uncertain))
     for name, expected_q in problem.expected_answers.items():
         got_q = answers.get(name)
@@ -495,7 +499,10 @@ def replay(problem: TabletProblem) -> ReplayReport:
             rows.append(CheckRow("answer", name, "MISSING",
                                  str(expected_q), None))
             continue
-        status = "MATCH" if got_q == expected_q else "MISMATCH"
-        rows.append(CheckRow("answer", name, status,
-                             str(expected_q), str(got_q)))
+        text = str(expected_q)
+        if got_q == expected_q:
+            status, got_text = "MATCH", text
+        else:
+            status, got_text = "MISMATCH", str(got_q)
+        rows.append(CheckRow("answer", name, status, text, got_text))
     return ReplayReport(problem.id, tuple(rows))

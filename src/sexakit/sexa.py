@@ -32,6 +32,16 @@ irregular number is the exception: naming the prime in
 ``IrregularDivisor``/``NonTerminating`` trial-divides the non-smooth part
 m by the integers coprime to 30, up to its smallest prime p, or up to
 sqrt(m) when m is prime: about p/4 or sqrt(m)/4 divisions, whatever n is.
+
+Small values (a few groups, as in a tablet replay) cost bookkeeping more
+than arithmetic, so every result is built once, with no second
+normalization.  ``Fraction``'s operators already return lowest terms,
+and ``_reduced`` sets the result's two slots directly instead of running
+the gcd again.  Negation, ``abs``, ``reciprocal`` (which swaps the
+terms), ``sqrt_exact`` (roots of coprime squares are coprime), ``parse``
+(one gcd) and ``Sexa(fraction)`` build their results the same way, and
+``Sexa(sexa)`` is its argument.  The functions that take a ``SexaLike``
+use a ``Fraction`` argument as it is.
 """
 
 from __future__ import annotations
@@ -74,7 +84,27 @@ _WHEEL_GAPS = (4, 2, 4, 2, 4, 6, 2, 6)
 _CHUNK = 60 ** 5
 
 
+def _reduced(n: int, d: int) -> Sexa:
+    """The Sexa n/d, for n/d already in lowest terms with d > 0.
+
+    Sets ``Fraction``'s two slots directly, skipping the gcd and the type
+    checks of ``Fraction.__new__``.  Callers own the lowest-terms promise.
+    """
+    value = object.__new__(Sexa)
+    value._numerator = n
+    value._denominator = d
+    return value
+
+
+def _as_fraction(x: SexaLike) -> Fraction:
+    """x as it is when it is a Fraction (a Sexa is one), else Fraction(x)."""
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 def _wrap(value):
+    if type(value) is Fraction:
+        # Fraction's operators return lowest terms: reuse them as they are.
+        return _reduced(value._numerator, value._denominator)
     if value is NotImplemented:
         return NotImplemented
     if isinstance(value, float):
@@ -95,6 +125,10 @@ class Sexa(Fraction):
 
     def __new__(cls, value: SexaLike | str = 0, denominator=None):
         if denominator is None:
+            if type(value) is Sexa:
+                return value            # immutable: share, don't copy
+            if isinstance(value, Fraction):
+                return _reduced(value._numerator, value._denominator)
             if isinstance(value, str):
                 return parse(value)
             if isinstance(value, float):
@@ -130,17 +164,33 @@ class Sexa(Fraction):
     def __pow__(self, other):
         return _wrap(Fraction.__pow__(self, other))
 
+    def __rpow__(self, other):
+        # Fraction.__rpow__ hands a rational base back to ``**``, which
+        # would come here again: raise the base to this power directly.
+        if isinstance(other, (int, Fraction)):
+            return _wrap(Fraction.__pow__(Fraction(other), self))
+        return _wrap(Fraction.__rpow__(self, other))
+
     def __neg__(self):
-        return Sexa(Fraction.__neg__(self))
+        return _reduced(-self._numerator, self._denominator)
 
     def __pos__(self):
         return self
 
     def __abs__(self):
-        return Sexa(Fraction.__abs__(self))
+        return _reduced(abs(self._numerator), self._denominator)
+
+    def __reduce__(self):
+        # Python 3.10's Fraction pickles through str(), which for a value
+        # like 1/7 is "1/7": not a literal that Sexa(str) parses back.
+        return (Sexa, (self._numerator, self._denominator))
 
     def __str__(self) -> str:
         return render(self, fraction_fallback=True)
+
+    def __format__(self, spec: str) -> str:
+        # From Python 3.13 on, Fraction formats an empty spec as p/q.
+        return str(self) if not spec else super().__format__(spec)
 
     def __repr__(self) -> str:
         try:
@@ -169,7 +219,7 @@ class SexaDigits:
             raise ValueError("sign must be +1 or -1")
         if not self.digits:
             raise ValueError("digit list must not be empty (zero is (0,))")
-        if not all(0 <= d <= 59 for d in self.digits):
+        if min(self.digits) < 0 or max(self.digits) > 59:
             raise ValueError("every digit must lie in 0..59")
         if not 1 <= self.radix_offset <= len(self.digits):
             raise ValueError("radix offset must leave a nonempty integer part")
@@ -189,9 +239,10 @@ class SexaDigits:
         return self.digits[self.radix_offset:]
 
     def to_string(self) -> str:
-        text = ",".join(str(d) for d in self.integer_digits)
-        if self.fraction_digits:
-            text += ";" + ",".join(str(d) for d in self.fraction_digits)
+        digits, offset = self.digits, self.radix_offset
+        text = ",".join(map(str, digits[:offset]))
+        if offset < len(digits):
+            text += ";" + ",".join(map(str, digits[offset:]))
         return ("-" if self.sign < 0 else "") + text
 
     def value(self) -> Sexa:
@@ -245,7 +296,9 @@ def parse(text: str) -> Sexa:
         value = value * 60 + d
     if negative:
         value = -value
-    return Sexa(value, 60 ** len(frac_groups))
+    scale = 60 ** len(frac_groups)
+    g = math.gcd(value, scale)
+    return _reduced(value // g, scale // g)
 
 
 def _strip_smooth(n: int) -> tuple[int, dict[int, int]]:
@@ -318,7 +371,7 @@ def decompose(x: SexaLike) -> SexaDigits:
 
     Raises NonTerminating when the reduced denominator is not 60-smooth.
     """
-    f = Fraction(x)
+    f = _as_fraction(x)
     leftover, k = _expansion_exponent(f.denominator)
     if leftover != 1:
         raise NonTerminating(Sexa(f), _smallest_prime_factor(leftover))
@@ -331,7 +384,7 @@ def render(x: SexaLike, fraction_fallback: bool = False) -> str:
     Values without a finite expansion raise NonTerminating; pass
     ``fraction_fallback=True`` to get "p/q" text instead.
     """
-    f = Fraction(x)
+    f = _as_fraction(x)
     leftover, k = _expansion_exponent(f.denominator)
     if leftover != 1:
         if fraction_fallback:
@@ -367,7 +420,7 @@ def is_regular(x: SexaLike) -> bool:
     Equivalently, both the reduced numerator and denominator are 60-smooth,
     so x and 1/x both have finite sexagesimal expansions.
     """
-    f = Fraction(x)
+    f = _as_fraction(x)
     if f == 0:
         raise ZeroInput("0 has no regularity status (no reciprocal)")
     return (_strip_smooth(abs(f.numerator))[0] == 1
@@ -376,19 +429,20 @@ def is_regular(x: SexaLike) -> bool:
 
 def reciprocal(x: SexaLike) -> Sexa:
     """The scribe's igi-x: exact 1/x, defined only for regular x."""
-    f = Fraction(x)
+    f = _as_fraction(x)
     if f == 0:
         raise ZeroInput("0 has no reciprocal")
     for part in (abs(f.numerator), f.denominator):
         leftover, _ = _strip_smooth(part)
         if leftover != 1:
             raise IrregularDivisor(Sexa(f), _smallest_prime_factor(leftover))
-    return Sexa(1) / Sexa(f)
+    n, d = f.numerator, f.denominator
+    return _reduced(d, n) if n > 0 else _reduced(-d, -n)
 
 
 def sqrt_exact(x: SexaLike) -> Sexa:
     """The nonnegative y with y*y == x, refusing anything inexact."""
-    f = Fraction(x)
+    f = _as_fraction(x)
     if f < 0:
         raise NegativeRadicand(f"square root of negative value {Sexa(f)}")
     num, den = f.numerator, f.denominator
@@ -396,4 +450,4 @@ def sqrt_exact(x: SexaLike) -> Sexa:
     root_den = math.isqrt(den)
     if root_num * root_num != num or root_den * root_den != den:
         raise NotAPerfectSquare(f"{Sexa(f)} is not the square of a rational")
-    return Sexa(root_num, root_den)
+    return _reduced(root_num, root_den)

@@ -9,6 +9,7 @@ from sexakit.cli import (
     EXIT_MATH,
     EXIT_MISMATCH,
     EXIT_OK,
+    _MAX_NESTING,
     evaluate_expression,
     main,
 )
@@ -84,6 +85,29 @@ class TestEvalExpression:
         code, out, _ = run(capsys, "eval", "1 + 1", "--json")
         assert code == EXIT_OK
         assert json.loads(out) == {"value": "2"}
+
+    @pytest.mark.parametrize("expression", [
+        "(" * 2000 + "1" + ")" * 2000,
+        "-" * 3000 + "1",
+    ], ids=["parentheses", "unary-minus"])
+    def test_deep_nesting_is_input_error(self, capsys, expression):
+        code, out, err = run(capsys, "eval", "--", expression)
+        assert code == EXIT_INPUT
+        assert out == "" and err.startswith("error: ")
+        assert "nests deeper" in err and "Traceback" not in err
+
+    def test_nesting_up_to_the_limit(self):
+        n = _MAX_NESTING
+        assert evaluate_expression("(" * n + "1" + ")" * n) == 1
+        assert evaluate_expression("-" * n + "1") == 1
+        assert evaluate_expression("-(" * (n // 2) + "2" + ")" * (n // 2)) == 2
+        # siblings do not nest: the depth falls back on every ")"
+        assert evaluate_expression(" + ".join(["(-(1))"] * (3 * n))) == -3 * n
+        for deeper in ("(" * (n + 1) + "1" + ")" * (n + 1),
+                       "-" * (n + 1) + "1",
+                       "-(" * (n // 2) + "-2" + ")" * (n // 2)):
+            with pytest.raises(ExpressionError):
+                evaluate_expression(deeper)
 
 
 class TestSimpleCommands:

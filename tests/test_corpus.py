@@ -6,6 +6,7 @@ import pytest
 
 from sexakit.corpus import (
     Procedure,
+    _dispatch,
     bundled_corpus_path,
     find_problem,
     load_corpus,
@@ -308,3 +309,59 @@ class TestEnlargedCanalSystem:
             "y": Quantity(Sexa("0;20"), one),
             "z": Quantity(2, one),
         }
+
+
+WRONG_VALUES = "\n".join([
+    "[problem t.step]",             # smt24.p1 with one wrong step
+    "procedure = quadratic",
+    "param A = 14;3,45",
+    "param B = 1,9;22,30",
+    "param C = 4;41,15",
+    "expect step half_B = 34;41,15 @ obv.26",
+    "expect step root = 35;37,31 @ obv.29",
+    "expect answer u = 5 nindan",
+    "[problem t.answer]",           # smt24.p1 with one wrong answer
+    "procedure = quadratic",
+    "param A = 14;3,45",
+    "param B = 1,9;22,30",
+    "param C = 4;41,15",
+    "expect step root = 35;37,30 @ obv.29",
+    "expect answer u = 5;0,1 nindan",
+])
+
+
+class TestReplayRowText:
+    """Every row shows an independent rendering of both values."""
+
+    def check_rows(self, problem):
+        trace, answers = _dispatch(problem)
+        report = replay(problem)
+        expected_steps = {e.label: e for e in problem.expected_steps}
+        for row in report.rows:
+            if row.kind == "step":
+                expected = render(expected_steps[row.label].value)
+                got = trace[row.label]
+                got = render(got.magnitude if isinstance(got, Quantity)
+                             else got)
+            else:
+                expected = str(problem.expected_answers[row.label])
+                got = str(answers[row.label])
+            assert (row.expected, row.got) == (expected, got)
+            assert (row.status == "MATCH") == (expected == got)
+        return report
+
+    def test_bundled_rows(self, bundled):
+        for problem in bundled:
+            assert self.check_rows(problem).passed
+
+    def test_mismatch_rows_show_the_value_got(self, tmp_path):
+        step, answer = load_corpus(write_corpus(tmp_path, WRONG_VALUES))
+        rows = self.check_rows(step).rows
+        assert [(r.label, r.status, r.expected, r.got) for r in rows] == [
+            ("half_B", "MATCH", "34;41,15", "34;41,15"),
+            ("root", "MISMATCH", "35;37,31", "35;37,30"),
+            ("u", "MATCH", "5 nindan", "5 nindan")]
+        rows = self.check_rows(answer).rows
+        assert [(r.label, r.status, r.expected, r.got) for r in rows] == [
+            ("root", "MATCH", "35;37,30", "35;37,30"),
+            ("u", "MISMATCH", "5;0,1 nindan", "5 nindan")]

@@ -1,5 +1,9 @@
 """Number core: literals, rendering, regularity, reciprocals, roots."""
 
+import copy
+import math
+import operator
+import pickle
 import time
 from fractions import Fraction
 
@@ -112,6 +116,10 @@ class TestRender:
 
     def test_no_radix_point_for_integers(self):
         assert ";" not in render(Sexa("1,0"))
+
+    def test_format_is_str(self):
+        assert f"{Sexa('-0;30')}" == format(Sexa("-0;30"), "") == "-0;30"
+        assert f"{Sexa(1, 7)}" == "1/7"
 
 
 class TestArithmetic:
@@ -263,6 +271,12 @@ class TestSqrt:
     @given(smooth_values())
     def test_inverts_square(self, x):
         assert sqrt_exact(square(x)) == abs(x)
+
+    def test_error_messages_in_base_60(self):
+        with pytest.raises(NotAPerfectSquare, match=r"^0;21,40 is not"):
+            sqrt_exact(Sexa("0;21,40"))
+        with pytest.raises(NegativeRadicand, match=r"value -0;30$"):
+            sqrt_exact(Sexa("-0;30"))
 
 
 class TestRoundTrips:
@@ -435,3 +449,118 @@ class TestBulkKernels:
         elapsed = time.perf_counter() - start
         assert len(text.replace(";", ",").split(",")) >= 20000
         assert elapsed < 5, f"{elapsed:.2f} s"
+
+
+# -- values built without a second normalization ------------------------------
+
+ratios = st.tuples(st.integers(-10**12, 10**12), st.integers(1, 10**12))
+
+
+def assert_like_fraction(result, expected):
+    """result is a Sexa in lowest terms, equal to and hashing like expected."""
+    assert type(result) is Sexa
+    assert result == expected
+    n, d = result.numerator, result.denominator
+    assert (n, d) == (expected.numerator, expected.denominator)
+    assert math.gcd(n, d) == 1 and d > 0
+    assert hash(result) == hash(expected)
+
+
+class TestReducedConstruction:
+    @given(ratios, ratios)
+    def test_binary_ops_match_fraction(self, a, b):
+        fa, fb = Fraction(*a), Fraction(*b)
+        sa, sb = Sexa(*a), Sexa(*b)
+        for op in (operator.add, operator.sub, operator.mul):
+            assert_like_fraction(op(sa, sb), op(fa, fb))
+        if fb:
+            assert_like_fraction(sa / sb, fa / fb)
+
+    @given(ratios, st.integers(-10**6, 10**6))
+    def test_reflected_ops_match_fraction(self, a, k):
+        fa, sa = Fraction(*a), Sexa(*a)
+        for other in (k, Fraction(k, 7)):
+            for op in (operator.add, operator.sub, operator.mul):
+                assert_like_fraction(op(other, sa), op(other, fa))
+                assert_like_fraction(op(sa, other), op(fa, other))
+            if fa:
+                assert_like_fraction(other / sa, other / fa)
+            if other:
+                assert_like_fraction(sa / other, fa / other)
+
+    @given(ratios, st.integers(-4, 4))
+    def test_powers_match_fraction(self, a, e):
+        fa, sa = Fraction(*a), Sexa(*a)
+        if fa or e >= 0:
+            assert_like_fraction(sa ** e, fa ** e)
+            assert_like_fraction(sa ** Fraction(e), fa ** e)
+        base = a[0] % 50 + 1
+        assert_like_fraction(base ** Sexa(e), Fraction(base) ** e)
+        assert_like_fraction(Fraction(base, 7) ** Sexa(e),
+                             Fraction(base, 7) ** e)
+
+    @given(ratios)
+    def test_unary_ops_match_fraction(self, a):
+        fa, sa = Fraction(*a), Sexa(*a)
+        assert_like_fraction(-sa, -fa)
+        assert_like_fraction(abs(sa), abs(fa))
+        assert +sa is sa
+
+    @given(ratios)
+    def test_from_fraction_and_square_root(self, a):
+        fa = Fraction(*a)
+        assert_like_fraction(Sexa(fa), fa)
+        assert_like_fraction(sqrt_exact(fa * fa), abs(fa))
+
+    @given(smooth_values())
+    def test_parse_of_rendering(self, x):
+        f = Fraction(x.numerator, x.denominator)
+        assert_like_fraction(parse(render(x)), f)
+
+    @given(regular_values)
+    def test_reciprocal(self, x):
+        f = Fraction(x.numerator, x.denominator)
+        assert_like_fraction(reciprocal(x), 1 / f)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    operator.truediv, operator.pow])
+    def test_float_on_either_side_raises(self, op):
+        with pytest.raises(TypeError):
+            op(Sexa(1, 2), 0.5)
+        with pytest.raises(TypeError):
+            op(0.5, Sexa(1, 2))
+
+    def test_fractional_power_would_be_a_float(self):
+        for base in (2, Fraction(2), Sexa(2)):
+            with pytest.raises(TypeError):
+                base ** Sexa(1, 2)
+
+    def test_sexa_argument_is_returned_as_is(self):
+        x = Sexa("1,9;22,30")
+        assert Sexa(x) is x
+
+    def test_fraction_argument_is_reduced(self):
+        x = Sexa(Fraction(6, 8))
+        assert type(x) is Sexa
+        assert (x.numerator, x.denominator) == (3, 4)
+
+    def test_parse_reduces_with_positive_denominator(self):
+        x = parse("-0;30")
+        assert x == Fraction(-1, 2)
+        assert (x.numerator, x.denominator) == (-1, 2)
+        zero = parse("0;0,0")
+        assert (zero.numerator, zero.denominator) == (0, 1)
+
+    @pytest.mark.parametrize("x", [Sexa("-0;30"), Sexa(1, 7), Sexa(0),
+                                   Sexa("1,0,0;0,0,1") ** 3])
+    def test_pickle_and_copy_round_trip(self, x):
+        for y in (pickle.loads(pickle.dumps(x)), copy.copy(x),
+                  copy.deepcopy(x)):
+            assert type(y) is Sexa
+            assert (y.numerator, y.denominator) == (x.numerator, x.denominator)
+
+    def test_fraction_slot_layout(self):
+        # _reduced writes these two slots directly; a Python that renames
+        # or adds to them must fail here, not build broken values.
+        assert Fraction.__slots__ == ("_numerator", "_denominator")
+        assert Sexa.__slots__ == ()

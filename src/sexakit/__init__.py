@@ -10,22 +10,20 @@ intermediate "you see N" value of SMT No. 24 and No. 25.
 
 from . import errors
 from .corpus import (
+    PROCEDURES,
     CheckRow,
     ExpectedStep,
-    Procedure,
+    ProcedureSpec,
     ReplayReport,
     TabletProblem,
     bundled_corpus_path,
     find_problem,
     load_corpus,
     replay,
-    replay_smt24_p2,
 )
 from .geometry import (
     SMALL_CANAL_CONSTANT,
     CanalConstant,
-    RectCanal,
-    TrapezoidCanal,
     breadths_from_constraints,
     depth_from_labor,
     length_from_volume,
@@ -38,31 +36,27 @@ from .procedures import (
     Step,
     StepTrace,
     SumDifferenceProblem,
-    apply_identity_sum_of_squares,
     divide_by_recognition,
+    replay_smt24_p2,
     solve_quadratic_scribal,
     solve_sum_difference,
 )
 from .sexa import (
     Sexa,
     SexaDigits,
-    add,
     decompose,
     halve,
     is_regular,
-    mul,
     parse,
     reciprocal,
     render,
     sqrt_exact,
     square,
-    sub,
 )
 from .units import (
     KUS_PER_NINDAN,
     Dimension,
     Quantity,
-    kus_to_nindan,
     nindan_to_kus,
     parse_quantity,
     qdiv,
@@ -76,22 +70,21 @@ __all__ = [
     "errors",
     # numbers
     "Sexa", "SexaDigits", "parse", "render", "decompose",
-    "add", "sub", "mul", "halve", "square",
-    "sqrt_exact", "reciprocal", "is_regular",
+    "halve", "square", "sqrt_exact", "reciprocal", "is_regular",
     # units
     "Dimension", "Quantity", "KUS_PER_NINDAN",
-    "qmul", "qdiv", "nindan_to_kus", "kus_to_nindan",
+    "qmul", "qdiv", "nindan_to_kus",
     "sar_to_volume_sar", "parse_quantity",
     # procedures
     "Step", "StepTrace", "QuadraticProblem", "SumDifferenceProblem",
     "solve_quadratic_scribal", "solve_sum_difference",
-    "divide_by_recognition", "apply_identity_sum_of_squares",
+    "divide_by_recognition", "replay_smt24_p2",
     # geometry
-    "CanalConstant", "SMALL_CANAL_CONSTANT", "TrapezoidCanal", "RectCanal",
+    "CanalConstant", "SMALL_CANAL_CONSTANT",
     "trapezoid_cross_section", "prism_volume", "reserved_water_volume",
     "breadths_from_constraints", "length_from_volume", "depth_from_labor",
     # corpus
-    "Procedure", "ExpectedStep", "TabletProblem", "CheckRow", "ReplayReport",
-    "bundled_corpus_path", "load_corpus", "find_problem",
-    "replay", "replay_smt24_p2",
+    "PROCEDURES", "ProcedureSpec", "ExpectedStep", "TabletProblem",
+    "CheckRow", "ReplayReport", "bundled_corpus_path", "load_corpus",
+    "find_problem", "replay",
 ]

@@ -197,18 +197,34 @@ def evaluate_expression(text: str, mode: str = "scribal") -> Sexa:
 
 # -- output helpers ------------------------------------------------------------
 
-def _print_value(value: Sexa, args) -> None:
+def _print_value(value: Sexa, args) -> int:
     text = render(value, fraction_fallback=getattr(args, "oracle", False))
-    if args.json:
-        print(json.dumps({"value": text}))
-    else:
-        print(text)
+    print(json.dumps({"value": text}) if args.json else text)
+    return EXIT_OK
 
 
-def _print_trace(trace: StepTrace, args) -> None:
-    if args.json:
-        return      # folded into the result object by the caller
-    print(trace.to_text())
+def _print_result(args, values: dict[str, Sexa | Quantity],
+                  trace: StepTrace | None = None) -> int:
+    """Print named results as ``name = value`` lines, after the trace text
+    when --trace asks for it.  With --json, print one object: the values,
+    then the ``unit`` they share when they are quantities, then the trace
+    ``steps``.
+    """
+    if not args.json:
+        if trace is not None and args.trace:
+            print(trace.to_text())
+        for name, value in values.items():
+            print(f"{name} = {value}")
+        return EXIT_OK
+    result = {name: render(v.magnitude if isinstance(v, Quantity) else v)
+              for name, v in values.items()}
+    quantities = [v for v in values.values() if isinstance(v, Quantity)]
+    if quantities:
+        result["unit"] = quantities[0].dim.value
+    if trace is not None:
+        result.update(trace.to_dict())
+    print(json.dumps(result))
+    return EXIT_OK
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -216,44 +232,27 @@ def _print_trace(trace: StepTrace, args) -> None:
 def _cmd_eval(args) -> int:
     mode = "oracle" if args.oracle else "recognize" if args.recognize \
         else "scribal"
-    _print_value(evaluate_expression(args.expression, mode), args)
-    return EXIT_OK
+    return _print_value(evaluate_expression(args.expression, mode), args)
 
 
 def _cmd_recip(args) -> int:
-    _print_value(reciprocal(Sexa(args.value)), args)
-    return EXIT_OK
+    return _print_value(reciprocal(Sexa(args.value)), args)
 
 
 def _cmd_sqrt(args) -> int:
-    _print_value(sqrt_exact(Sexa(args.value)), args)
-    return EXIT_OK
+    return _print_value(sqrt_exact(Sexa(args.value)), args)
 
 
 def _cmd_solve_quadratic(args) -> int:
     problem = QuadraticProblem(Sexa(args.a), Sexa(args.b), Sexa(args.c))
     root, trace = solve_quadratic_scribal(problem)
-    if args.json:
-        print(json.dumps({"u": render(root), **trace.to_dict()}))
-        return EXIT_OK
-    if args.trace:
-        _print_trace(trace, args)
-    print(f"u = {render(root)}")
-    return EXIT_OK
+    return _print_result(args, {"u": root}, trace)
 
 
 def _cmd_sum_diff(args) -> int:
     problem = SumDifferenceProblem(Sexa(args.diff), Sexa(args.prod))
     x, y, trace = solve_sum_difference(problem)
-    if args.json:
-        print(json.dumps({"x": render(x), "y": render(y),
-                          **trace.to_dict()}))
-        return EXIT_OK
-    if args.trace:
-        _print_trace(trace, args)
-    print(f"x = {render(x)}")
-    print(f"y = {render(y)}")
-    return EXIT_OK
+    return _print_result(args, {"x": x, "y": y}, trace)
 
 
 def _cmd_geom_trapezoid(args) -> int:
@@ -261,24 +260,14 @@ def _cmd_geom_trapezoid(args) -> int:
         Quantity(Sexa(args.upper), Dimension.LENGTH_NINDAN),
         Quantity(Sexa(args.lower), Dimension.LENGTH_NINDAN),
         Quantity(Sexa(args.depth), Dimension.LENGTH_KUS))
-    if args.json:
-        print(json.dumps({"S": render(section.magnitude),
-                          "unit": section.dim.value}))
-    else:
-        print(f"S = {section}")
-    return EXIT_OK
+    return _print_result(args, {"S": section})
 
 
 def _cmd_geom_volume(args) -> int:
     volume = prism_volume(
         Quantity(Sexa(args.section), Dimension.CROSS_SECTION),
         Quantity(Sexa(args.length), Dimension.LENGTH_NINDAN))
-    if args.json:
-        print(json.dumps({"V": render(volume.magnitude),
-                          "unit": volume.dim.value}))
-    else:
-        print(f"V = {volume}")
-    return EXIT_OK
+    return _print_result(args, {"V": volume})
 
 
 def _cmd_geom_labor_depth(args) -> int:
@@ -288,16 +277,7 @@ def _cmd_geom_labor_depth(args) -> int:
         Quantity(Sexa(args.workers), Dimension.WORKER_COUNT),
         Quantity(Sexa(args.width), Dimension.LENGTH_NINDAN),
         CanalConstant(Sexa(args.constant)))
-    if args.json:
-        print(json.dumps({"z": render(depth.magnitude),
-                          "z_water": render(water_depth.magnitude),
-                          "unit": depth.dim.value, **trace.to_dict()}))
-        return EXIT_OK
-    if args.trace:
-        _print_trace(trace, args)
-    print(f"z = {depth}")
-    print(f"z_water = {water_depth}")
-    return EXIT_OK
+    return _print_result(args, {"z": depth, "z_water": water_depth}, trace)
 
 
 def _cmd_replay(args) -> int:

@@ -14,20 +14,26 @@ A corpus file is line-oriented, 7-bit text.  Records open with
 prints with "(?)" (replay still checks it, since the arithmetic does
 confirm it; the flag is carried through to the report).
 
-``replay`` runs the problem's procedure and compares every produced
-trace step against the expectations, label by label, with exact
-equality; answers are compared with their units.  A report passes only
-with zero mismatches and zero missing labels.
+``PROCEDURES`` is the one table of procedures: each ``ProcedureSpec``
+gives a corpus name, the params and givens a record for it must carry,
+and ``run(problem) -> (trace, answers)``.  ``load_corpus`` looks a
+record's procedure up there and checks its fields against the entry;
+``replay`` calls the entry's ``run``, then compares every produced trace
+step against the expectations, label by label, with exact equality;
+answers are compared with their units.  A report passes only with zero
+mismatches and zero missing labels.  Adding a procedure is one
+``ProcedureSpec`` entry plus a corpus record that uses it.
 """
 
 from __future__ import annotations
 
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
-from enum import Enum
 from importlib import resources
 from pathlib import Path
+from typing import Callable, Iterator
 
 from .errors import (
     BadLiteral,
@@ -49,16 +55,15 @@ from .geometry import (
 from .procedures import (
     QuadraticProblem,
     StepTrace,
-    SumDifferenceProblem,
-    divide_by_recognition,
+    replay_smt24_p2,
     solve_quadratic_scribal,
-    solve_sum_difference,
 )
-from .sexa import Sexa, SexaLike, reciprocal, render, square
+from .sexa import Sexa, render
 from .units import Dimension, Quantity, parse_quantity
 
 __all__ = [
-    "Procedure",
+    "PROCEDURES",
+    "ProcedureSpec",
     "ExpectedStep",
     "TabletProblem",
     "CheckRow",
@@ -66,29 +71,32 @@ __all__ = [
     "bundled_corpus_path",
     "load_corpus",
     "replay",
-    "replay_smt24_p2",
 ]
 
 _BUNDLED_NAME = "susa_excavations.corpus"
 
-
-class Procedure(Enum):
-    QUADRATIC = "quadratic"
-    RECT_CANAL_SYSTEM = "rect-canal-system"
-    LABOR_DEPTH = "labor-depth"
+#: What a procedure's ``run`` returns: the trace and the named answers.
+_Outcome = tuple[StepTrace, dict[str, Quantity]]
 
 
-_REQUIRED_PARAMS = {
-    Procedure.QUADRATIC: ("A", "B", "C"),
-    Procedure.RECT_CANAL_SYSTEM: ("diff", "depth_factor", "thirteenth", "rhs"),
-    Procedure.LABOR_DEPTH: ("reach_length",),
-}
+@dataclass(frozen=True)
+class ProcedureSpec:
+    """A procedure that corpus records name, and how to replay it.
 
-_REQUIRED_GIVENS = {
-    Procedure.QUADRATIC: (),
-    Procedure.RECT_CANAL_SYSTEM: (),
-    Procedure.LABOR_DEPTH: ("total_water", "workers", "width"),
-}
+    A record must carry every name in ``params`` and ``givens``.
+    ``run(problem)`` returns the trace and the named answers; it raises
+    ``ProcedureError`` naming the stage that failed.
+    """
+
+    name: str
+    params: tuple[str, ...]
+    givens: tuple[str, ...]
+    run: Callable[[TabletProblem], _Outcome]
+
+    @property
+    def value(self) -> str:
+        """The corpus name, where code written for an ``Enum`` reads it."""
+        return self.name
 
 
 @dataclass(frozen=True)
@@ -102,7 +110,7 @@ class ExpectedStep:
 @dataclass(frozen=True)
 class TabletProblem:
     id: str
-    procedure: Procedure
+    procedure: ProcedureSpec
     givens: dict[str, Quantity]
     parameters: dict[str, Sexa]
     expected_steps: tuple[ExpectedStep, ...]
@@ -170,7 +178,7 @@ class _ProblemBuilder:
     def __init__(self, pid: str, line_no: int):
         self.id = pid
         self.line_no = line_no
-        self.procedure: Procedure | None = None
+        self.procedure: ProcedureSpec | None = None
         self.givens: dict[str, Quantity] = {}
         self.parameters: dict[str, Sexa] = {}
         self.steps: dict[str, ExpectedStep] = {}
@@ -180,10 +188,9 @@ class _ProblemBuilder:
         if self.procedure is None:
             raise CorpusParseError(
                 f"problem {self.id} has no procedure", line=self.line_no)
-        missing = [p for p in _REQUIRED_PARAMS[self.procedure]
+        missing = [p for p in self.procedure.params
                    if p not in self.parameters]
-        missing += [g for g in _REQUIRED_GIVENS[self.procedure]
-                    if g not in self.givens]
+        missing += [g for g in self.procedure.givens if g not in self.givens]
         if missing:
             raise CorpusParseError(
                 f"problem {self.id} is missing fields: {', '.join(missing)}",
@@ -273,11 +280,10 @@ def load_corpus(path: str | os.PathLike | None = None) -> list[TabletProblem]:
         kind, rest = m.group("kind"), m.group("rest").strip()
         if kind == "procedure":
             name = rest.lstrip("= ").strip()
-            try:
-                builder.procedure = Procedure(name)
-            except ValueError:
+            builder.procedure = PROCEDURES.get(name)
+            if builder.procedure is None:
                 raise UnknownProcedure(f"unknown procedure {name!r}",
-                                       line=line_no) from None
+                                       line=line_no)
         elif kind == "given":
             name, _, value = rest.partition("=")
             name, value = name.strip(), value.strip()
@@ -340,142 +346,88 @@ def find_problem(problems: list[TabletProblem], problem_id: str,
 
 # -- procedures behind the corpus ---------------------------------------------
 
-def replay_smt24_p2(diff: SexaLike, depth_factor: SexaLike,
-                    thirteenth: SexaLike, rhs: SexaLike,
-                    ) -> tuple[Sexa, Sexa, StepTrace]:
-    """Solve the enlarged-canal system of the second SMT No. 24 problem.
+@contextmanager
+def _stage(problem: TabletProblem, stage: str) -> Iterator[None]:
+    """Report a SexakitError raised in the block as a ProcedureError."""
+    try:
+        yield
+    except SexakitError as exc:
+        raise ProcedureError(problem.id, stage, exc) from exc
 
-    The system, with d = x - y given, is
 
-        x - y = d,   z = depth_factor*d,
-        z(x^2 + y^2) + xy(z + 1) + (x^2 + y^2)/thirteenth = rhs.
+def _quadratic(problem: TabletProblem) -> _Outcome:
+    """SMT No. 24 p1: the upper breadth u by completing the square.
 
-    The tablet's run (reverse lines 7-24): scale the big equation by
-    ``thirteenth``; replace x^2 + y^2 by d^2 + 2xy; divide through by z
-    using 1/z = (1/depth_factor)(1/d); collect the xy coefficient exactly
-    as the scribe does (keeping the d^2 term unsimplified); read off xy
-    by recognition; then recover x and y by the sum-difference method.
-    Both d and depth_factor must be regular since their reciprocals are
-    taken separately, as on the tablet.  With d = 0 the depth is zero and
-    the equation yields xy directly, no reciprocal needed.
-
-    After solving, x, y and z are substituted back into the system and
-    exact satisfaction is asserted.
+    With a given volume V, the lower breadth, depth, cross-section and
+    length follow from u, as the tablet's verification does.
     """
-    d = Sexa(diff)
-    depth_factor = Sexa(depth_factor)
-    thirteenth = Sexa(thirteenth)
-    rhs = Sexa(rhs)
-    trace = StepTrace()
-
-    rhs_scaled = trace.record("rhs_scaled", rhs * thirteenth)
-    d_sq = trace.record("diff_sq", square(d))
-    rhs_reduced = trace.record("rhs_reduced", rhs_scaled - d_sq)
-
-    if d == 0:
-        # z = 0: the hole term vanishes and the scaled equation collapses
-        # to (thirteenth + 2)*xy = rhs_reduced.
-        xy = trace.record("xy", divide_by_recognition(
-            rhs_reduced, thirteenth + 2))
-    else:
-        recip_d = trace.record("recip_diff", reciprocal(d))
-        recip_depth = trace.record("recip_depth_factor",
-                                   reciprocal(depth_factor))
-        recip_z = trace.record("recip_z", recip_depth * recip_d)
-        rhs_over_z = trace.record("rhs_over_z", recip_z * rhs_reduced)
-        d_sq_again = trace.record("diff_sq_check", square(d))
-        d_sq_scaled = trace.record("diff_sq_scaled", d_sq_again * thirteenth)
-        xy_rhs = trace.record("xy_rhs", rhs_over_z - d_sq_scaled)
-        z_term = trace.record("z_term", recip_z * thirteenth)
-        pair_term = trace.record("pair_term", recip_z * 2)
-        mixed = trace.record("mixed_coeff", z_term + pair_term)
-        triple = trace.record("triple_thirteenth", thirteenth * 3)
-        xy_coeff = trace.record("xy_coeff", triple + mixed)
-        xy = trace.record("xy", divide_by_recognition(xy_rhs, xy_coeff))
-
-    x, y, tail = solve_sum_difference(SumDifferenceProblem(d, xy))
-    trace.extend(tail)
-
-    # Residual check: the returned values satisfy the original system.
-    # Plain exact division here, not the scribal reciprocal: 1/13 exists
-    # as a rational even though 13 has no finite base-60 reciprocal.
-    z = depth_factor * d
-    squares = square(x) + square(y)
-    residual = z * squares + x * y * (z + 1) + squares / thirteenth
-    if x - y != d or residual != rhs:
-        raise ProcedureError("rect-canal-system", "verify",
-                             ArithmeticError("solution fails the system"))
-    return x, y, trace
+    params, givens = problem.parameters, problem.givens
+    with _stage(problem, "solve-quadratic"):
+        u, trace = solve_quadratic_scribal(
+            QuadraticProblem(params["A"], params["B"], params["C"]))
+        answers = {"u": Quantity(u, Dimension.LENGTH_NINDAN)}
+    if "V" not in givens:
+        return trace, answers
+    with _stage(problem, "breadths"):
+        v, z = breadths_from_constraints(u, **{
+            k: params[k] for k in ("excess", "excess_share") if k in params})
+        trace.record("v", v)
+        trace.record("z", z)
+    with _stage(problem, "cross-section"):
+        section = trace.record("S", trapezoid_cross_section(
+            Quantity(u, Dimension.LENGTH_NINDAN),
+            Quantity(v, Dimension.LENGTH_NINDAN),
+            Quantity(z, Dimension.LENGTH_KUS)))
+    with _stage(problem, "length"):
+        length = trace.record("x", length_from_volume(givens["V"], section))
+        answers.update({
+            "v": Quantity(v, Dimension.LENGTH_NINDAN),
+            "z": Quantity(z, Dimension.LENGTH_KUS),
+            "S": section,
+            "x": length,
+        })
+    return trace, answers
 
 
-def _dispatch(problem: TabletProblem,
-              ) -> tuple[StepTrace, dict[str, Quantity]]:
+def _rect_canal_system(problem: TabletProblem) -> _Outcome:
+    """SMT No. 24 p2: the holes x and y, and their depth z = depth_factor*d."""
     params = problem.parameters
-    givens = problem.givens
-    if problem.procedure is Procedure.QUADRATIC:
-        stage = "solve-quadratic"
-        try:
-            u, trace = solve_quadratic_scribal(
-                QuadraticProblem(params["A"], params["B"], params["C"]))
-            answers = {"u": Quantity(u, Dimension.LENGTH_NINDAN)}
-            if "V" in givens:
-                # Post-solution verification: derive the remaining canal
-                # dimensions and recover the length from the given volume.
-                stage = "breadths"
-                kwargs = {}
-                if "excess" in params:
-                    kwargs["excess"] = params["excess"]
-                if "excess_share" in params:
-                    kwargs["excess_share"] = params["excess_share"]
-                v, z = breadths_from_constraints(u, **kwargs)
-                trace.record("v", v)
-                trace.record("z", z)
-                stage = "cross-section"
-                section = trapezoid_cross_section(
-                    Quantity(u, Dimension.LENGTH_NINDAN),
-                    Quantity(v, Dimension.LENGTH_NINDAN),
-                    Quantity(z, Dimension.LENGTH_KUS))
-                trace.record("S", section)
-                stage = "length"
-                length = length_from_volume(givens["V"], section)
-                trace.record("x", length)
-                answers.update({
-                    "v": Quantity(v, Dimension.LENGTH_NINDAN),
-                    "z": Quantity(z, Dimension.LENGTH_KUS),
-                    "S": section,
-                    "x": length,
-                })
-            return trace, answers
-        except SexakitError as exc:
-            raise ProcedureError(problem.id, stage, exc) from exc
-    if problem.procedure is Procedure.RECT_CANAL_SYSTEM:
-        try:
-            x, y, trace = replay_smt24_p2(
-                params["diff"], params["depth_factor"],
-                params["thirteenth"], params["rhs"])
-            z = Sexa(params["depth_factor"]) * Sexa(params["diff"])
-            one = Dimension.DIMENSIONLESS
-            return trace, {"x": Quantity(x, one), "y": Quantity(y, one),
-                           "z": Quantity(z, one)}
-        except SexakitError as exc:
-            raise ProcedureError(problem.id, "rect-canal-system", exc) from exc
-    if problem.procedure is Procedure.LABOR_DEPTH:
-        try:
-            constant = SMALL_CANAL_CONSTANT
-            if "canal_constant" in params:
-                constant = CanalConstant(params["canal_constant"])
-            depth, water_depth, trace = depth_from_labor(
-                givens["total_water"], params["reach_length"],
-                givens["workers"], givens["width"], constant)
-            return trace, {"z": depth, "z_water": water_depth}
-        except SexakitError as exc:
-            raise ProcedureError(problem.id, "labor-depth", exc) from exc
-    raise UnknownProcedure(f"no dispatcher for {problem.procedure}")
+    with _stage(problem, "rect-canal-system"):
+        x, y, trace = replay_smt24_p2(
+            params["diff"], params["depth_factor"],
+            params["thirteenth"], params["rhs"])
+        z = params["depth_factor"] * params["diff"]
+        one = Dimension.DIMENSIONLESS
+        return trace, {"x": Quantity(x, one), "y": Quantity(y, one),
+                       "z": Quantity(z, one)}
+
+
+def _labor_depth(problem: TabletProblem) -> _Outcome:
+    """SMT No. 25: the canal depth from its reserved water and work norms."""
+    params, givens = problem.parameters, problem.givens
+    with _stage(problem, "labor-depth"):
+        constant = CanalConstant(params.get("canal_constant",
+                                            SMALL_CANAL_CONSTANT.ratio))
+        depth, water_depth, trace = depth_from_labor(
+            givens["total_water"], params["reach_length"],
+            givens["workers"], givens["width"], constant)
+        return trace, {"z": depth, "z_water": water_depth}
+
+
+#: Every procedure a corpus record can name, keyed by that name.
+PROCEDURES: dict[str, ProcedureSpec] = {spec.name: spec for spec in (
+    ProcedureSpec("quadratic", ("A", "B", "C"), (), _quadratic),
+    ProcedureSpec("rect-canal-system",
+                  ("diff", "depth_factor", "thirteenth", "rhs"), (),
+                  _rect_canal_system),
+    ProcedureSpec("labor-depth", ("reach_length",),
+                  ("total_water", "workers", "width"), _labor_depth),
+)}
 
 
 def replay(problem: TabletProblem) -> ReplayReport:
     """Run a problem's procedure and check every expectation exactly."""
-    trace, answers = _dispatch(problem)
+    trace, answers = problem.procedure.run(problem)
     rows: list[CheckRow] = []
     for expected in problem.expected_steps:
         if expected.label not in trace:

@@ -76,26 +76,43 @@ class ZeroDivisor(SexakitError, ZeroDivisionError):
     """Division by zero."""
 
 
-class NonTerminating(SexakitError):
-    """Value has no finite base-60 expansion."""
+def _prime(noun: str, prime: int | None) -> str:
+    # The prime search is bounded: None means every prime factor lies
+    # above the bound, so name the bound, never an unproven prime.
+    if prime is not None:
+        return f"{noun} {prime}"
+    from .sexa import _PRIME_SEARCH_LIMIT
+    return f"a {noun} above {_PRIME_SEARCH_LIMIT}"
 
-    def __init__(self, value, prime: int):
+
+class NonTerminating(SexakitError):
+    """Value has no finite base-60 expansion.
+
+    ``prime`` is the smallest prime other than 2, 3, 5 in the denominator,
+    or None when that prime lies above the bounded search.
+    """
+
+    def __init__(self, value, prime: int | None):
         self.value = value
         self.prime = prime
         super().__init__(
             f"{_plain(value)} has no finite base-60 expansion "
-            f"(denominator contains prime {prime})")
+            f"(denominator contains {_prime('prime', prime)})")
 
 
 class IrregularDivisor(SexakitError):
-    """Divisor is not regular, so it has no finite reciprocal."""
+    """Divisor is not regular, so it has no finite reciprocal.
 
-    def __init__(self, value, prime: int):
+    ``prime`` is the smallest prime factor other than 2, 3, 5, or None
+    when that prime lies above the bounded search.
+    """
+
+    def __init__(self, value, prime: int | None):
         self.value = value
         self.prime = prime
         super().__init__(
-            f"{_plain(value)} is not a regular number (prime factor {prime}); "
-            f"it has no finite reciprocal")
+            f"{_plain(value)} is not a regular number "
+            f"({_prime('prime factor', prime)}); it has no finite reciprocal")
 
 
 class NoFiniteQuotient(SexakitError):

@@ -25,8 +25,6 @@ from .units import Dimension, KUS_PER_NINDAN, Quantity, qdiv, qmul
 __all__ = [
     "CanalConstant",
     "SMALL_CANAL_CONSTANT",
-    "TrapezoidCanal",
-    "RectCanal",
     "trapezoid_cross_section",
     "prism_volume",
     "reserved_water_volume",
@@ -68,57 +66,6 @@ def _positive(q: Quantity, name: str) -> Quantity:
     if q.magnitude <= 0:
         raise NonPositiveDimension(f"{name} must be positive")
     return q
-
-
-@dataclass(frozen=True)
-class TrapezoidCanal:
-    """Canal with trapezoidal cross-section: breadths u >= v, length, depth."""
-
-    upper_breadth: Quantity
-    lower_breadth: Quantity
-    length: Quantity
-    depth: Quantity
-
-    def __post_init__(self):
-        _positive(_expect(self.upper_breadth, Dimension.LENGTH_NINDAN,
-                          "upper breadth"), "upper breadth")
-        _positive(_expect(self.lower_breadth, Dimension.LENGTH_NINDAN,
-                          "lower breadth"), "lower breadth")
-        _positive(_expect(self.length, Dimension.LENGTH_NINDAN, "length"),
-                  "length")
-        _positive(_expect(self.depth, Dimension.LENGTH_KUS, "depth"), "depth")
-        if self.upper_breadth.magnitude < self.lower_breadth.magnitude:
-            raise InconsistentConstraint(
-                "upper breadth must not be smaller than lower breadth")
-
-    def cross_section(self) -> Quantity:
-        return trapezoid_cross_section(self.upper_breadth,
-                                       self.lower_breadth, self.depth)
-
-    def volume(self) -> Quantity:
-        return prism_volume(self.cross_section(), self.length)
-
-
-@dataclass(frozen=True)
-class RectCanal:
-    """Canal with rectangular cross-section."""
-
-    length: Quantity
-    width: Quantity
-    depth: Quantity
-
-    def __post_init__(self):
-        _positive(_expect(self.length, Dimension.LENGTH_NINDAN, "length"),
-                  "length")
-        _positive(_expect(self.width, Dimension.LENGTH_NINDAN, "width"),
-                  "width")
-        _positive(_expect(self.depth, Dimension.LENGTH_KUS, "depth"), "depth")
-
-    def cross_section(self) -> Quantity:
-        return qmul(self.width, self.depth)
-
-    def volume(self) -> Quantity:
-        return qmul(self.length, self.cross_section())
 
 
 def trapezoid_cross_section(upper: Quantity, lower: Quantity,

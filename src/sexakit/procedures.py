@@ -12,6 +12,10 @@ Two solution methods are implemented the way the scribes ran them:
 * the sum-difference method recovering x >= y from x - y and x*y via
   (x+y)/2 = sqrt(((x-y)/2)^2 + xy).
 
+``replay_smt24_p2`` chains them for the two holes of SMT No. 24: it
+reduces that system to xy by recognition, then splits x and y by the
+sum-difference method.
+
 ``divide_by_recognition`` models quotients the scribe simply announces
 for an irregular divisor (e.g. 7;45 given to 46;30 is 0;10): the quotient
 is computed exactly and accepted whenever it is finitely writable, since
@@ -42,7 +46,7 @@ __all__ = [
     "solve_quadratic_scribal",
     "solve_sum_difference",
     "divide_by_recognition",
-    "apply_identity_sum_of_squares",
+    "replay_smt24_p2",
 ]
 
 TraceValue = Union[Sexa, Quantity]
@@ -222,6 +226,69 @@ def divide_by_recognition(n: SexaLike, d: SexaLike) -> Sexa:
     return q
 
 
-def apply_identity_sum_of_squares(diff: SexaLike, prod: SexaLike) -> Sexa:
-    """x^2 + y^2 rewritten as (x - y)^2 + 2xy."""
-    return square(Sexa(diff)) + 2 * Sexa(prod)
+def replay_smt24_p2(diff: SexaLike, depth_factor: SexaLike,
+                    thirteenth: SexaLike, rhs: SexaLike,
+                    ) -> tuple[Sexa, Sexa, StepTrace]:
+    """Solve the enlarged-canal system of the second SMT No. 24 problem.
+
+    The system, with d = x - y given, is
+
+        x - y = d,   z = depth_factor*d,
+        z(x^2 + y^2) + xy(z + 1) + (x^2 + y^2)/thirteenth = rhs.
+
+    The tablet's run (reverse lines 7-24): scale the big equation by
+    ``thirteenth``; replace x^2 + y^2 by d^2 + 2xy; divide through by z
+    using 1/z = (1/depth_factor)(1/d); collect the xy coefficient exactly
+    as the scribe does (keeping the d^2 term unsimplified); read off xy
+    by recognition; then recover x and y by the sum-difference method.
+    Both d and depth_factor must be regular since their reciprocals are
+    taken separately, as on the tablet.  With d = 0 the depth is zero and
+    the equation yields xy directly, no reciprocal needed.
+
+    After solving, x, y and z are substituted back into the system and
+    exact satisfaction is asserted.
+    """
+    d = Sexa(diff)
+    depth_factor = Sexa(depth_factor)
+    thirteenth = Sexa(thirteenth)
+    rhs = Sexa(rhs)
+    trace = StepTrace()
+
+    rhs_scaled = trace.record("rhs_scaled", rhs * thirteenth)
+    d_sq = trace.record("diff_sq", square(d))
+    rhs_reduced = trace.record("rhs_reduced", rhs_scaled - d_sq)
+
+    if d == 0:
+        # z = 0: the hole term vanishes and the scaled equation collapses
+        # to (thirteenth + 2)*xy = rhs_reduced.
+        xy = trace.record("xy", divide_by_recognition(
+            rhs_reduced, thirteenth + 2))
+    else:
+        recip_d = trace.record("recip_diff", reciprocal(d))
+        recip_depth = trace.record("recip_depth_factor",
+                                   reciprocal(depth_factor))
+        recip_z = trace.record("recip_z", recip_depth * recip_d)
+        rhs_over_z = trace.record("rhs_over_z", recip_z * rhs_reduced)
+        d_sq_again = trace.record("diff_sq_check", square(d))
+        d_sq_scaled = trace.record("diff_sq_scaled", d_sq_again * thirteenth)
+        xy_rhs = trace.record("xy_rhs", rhs_over_z - d_sq_scaled)
+        z_term = trace.record("z_term", recip_z * thirteenth)
+        pair_term = trace.record("pair_term", recip_z * 2)
+        mixed = trace.record("mixed_coeff", z_term + pair_term)
+        triple = trace.record("triple_thirteenth", thirteenth * 3)
+        xy_coeff = trace.record("xy_coeff", triple + mixed)
+        xy = trace.record("xy", divide_by_recognition(xy_rhs, xy_coeff))
+
+    x, y, tail = solve_sum_difference(SumDifferenceProblem(d, xy))
+    trace.extend(tail)
+
+    # Residual check: the returned values satisfy the original system.
+    # Plain exact division here, not the scribal reciprocal: 1/13 exists
+    # as a rational even though 13 has no finite base-60 reciprocal.
+    z = depth_factor * d
+    squares = square(x) + square(y)
+    residual = z * squares + x * y * (z + 1) + squares / thirteenth
+    if x - y != d or residual != rhs:
+        raise ProcedureError("rect-canal-system", "verify",
+                             ArithmeticError("solution fails the system"))
+    return x, y, trace

@@ -30,8 +30,11 @@ linear in the length of the number: all three keep a quadratic term, and
 doubling n at a few thousand groups costs 3x to 4x.  Rejecting an
 irregular number is the exception: naming the prime in
 ``IrregularDivisor``/``NonTerminating`` trial-divides the non-smooth part
-m by the integers coprime to 30, up to its smallest prime p, or up to
-sqrt(m) when m is prime: about p/4 or sqrt(m)/4 divisions, whatever n is.
+m by the integers coprime to 30, up to its smallest prime p, up to
+sqrt(m) when m is prime, or up to ``_PRIME_SEARCH_LIMIT`` (10**6),
+whichever comes first: at most about 270 000 divisions, each linear in
+the length of m.  Past the limit the error names no prime (``.prime``
+is None).
 
 Small values (a few groups, as in a tablet replay) cost bookkeeping more
 than arithmetic, so every result is built once, with no second
@@ -66,9 +69,6 @@ __all__ = [
     "parse",
     "render",
     "decompose",
-    "add",
-    "sub",
-    "mul",
     "halve",
     "square",
     "sqrt_exact",
@@ -82,6 +82,9 @@ SexaLike = Union["Sexa", Fraction, int]
 _WHEEL_GAPS = (4, 2, 4, 2, 4, 6, 2, 6)
 #: Five base-60 digits, below 2**30: one CPython digit per division.
 _CHUNK = 60 ** 5
+#: Largest trial divisor used to name the prime in an error: every prime
+#: up to it is found, and no search runs past it (about 270 000 divisions).
+_PRIME_SEARCH_LIMIT = 10 ** 6
 
 
 def _reduced(n: int, d: int) -> Sexa:
@@ -322,18 +325,25 @@ def _strip_smooth(n: int) -> tuple[int, dict[int, int]]:
     return n, exponents
 
 
-def _smallest_prime_factor(n: int) -> int:
+def _smallest_prime_factor(n: int) -> int | None:
+    """The smallest prime factor of n > 1, found by trial division.
+
+    The search stops once its divisors pass ``_PRIME_SEARCH_LIMIT`` (at
+    the end of that turn of the wheel); then n has only prime factors
+    above the limit, and the result is None.
+    """
     for p in (2, 3, 5):
         if n % p == 0:
             return p
     f = 7
-    while True:
+    while f <= _PRIME_SEARCH_LIMIT:
         for gap in _WHEEL_GAPS:
             if f * f > n:
                 return n
             if n % f == 0:
                 return f
             f += gap
+    return None
 
 
 def _expansion_exponent(den: int) -> tuple[int, int]:
@@ -391,18 +401,6 @@ def render(x: SexaLike, fraction_fallback: bool = False) -> str:
             return f"{f.numerator}/{f.denominator}"
         raise NonTerminating(Sexa(f), _smallest_prime_factor(leftover))
     return _digits(f, k).to_string()
-
-
-def add(x: SexaLike, y: SexaLike) -> Sexa:
-    return Sexa(x) + Sexa(y)
-
-
-def sub(x: SexaLike, y: SexaLike) -> Sexa:
-    return Sexa(x) - Sexa(y)
-
-
-def mul(x: SexaLike, y: SexaLike) -> Sexa:
-    return Sexa(x) * Sexa(y)
 
 
 def halve(x: SexaLike) -> Sexa:

@@ -28,7 +28,6 @@ __all__ = [
     "qmul",
     "qdiv",
     "nindan_to_kus",
-    "kus_to_nindan",
     "sar_to_volume_sar",
     "parse_quantity",
 ]
@@ -156,13 +155,6 @@ def nindan_to_kus(q: Quantity) -> Quantity:
     if q.dim is not Dimension.LENGTH_NINDAN:
         raise DimensionMismatch(f"expected nindan, got {q.dim.value}")
     return Quantity(q.magnitude * KUS_PER_NINDAN, Dimension.LENGTH_KUS)
-
-
-def kus_to_nindan(q: Quantity) -> Quantity:
-    """Exact inverse of nindan_to_kus."""
-    if q.dim is not Dimension.LENGTH_KUS:
-        raise DimensionMismatch(f"expected kus, got {q.dim.value}")
-    return Quantity(q.magnitude / KUS_PER_NINDAN, Dimension.LENGTH_NINDAN)
 
 
 def sar_to_volume_sar(count: SexaLike, unit: str = "volume-sar") -> Quantity:

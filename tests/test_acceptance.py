@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from sexakit import cli
-from sexakit.corpus import find_problem, load_corpus, replay, replay_smt24_p2
+from sexakit.corpus import find_problem, load_corpus, replay
 from sexakit.errors import (
     BadLiteral,
     DimensionMismatch,
@@ -30,6 +30,7 @@ from sexakit.geometry import (
 from sexakit.procedures import (
     QuadraticProblem,
     SumDifferenceProblem,
+    replay_smt24_p2,
     solve_quadratic_scribal,
     solve_sum_difference,
 )

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, modes, and the frozen exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -151,6 +152,27 @@ class TestSimpleCommands:
         payload = json.loads(out)
         assert (payload["x"], payload["y"]) == ("3", "2")
         assert payload["steps"][0]["label"] == "half_diff"
+
+
+#: 1000000007 * 1000000009: both primes lie above the prime search limit.
+SEMIPRIME = "1,39,13,44,30,51,1,43,42,14,23"
+
+
+class TestLargeIrregularInput:
+    def test_literal_is_the_semiprime(self):
+        assert evaluate_expression(SEMIPRIME) == 1000000007 * 1000000009
+
+    @pytest.mark.parametrize("argv", [
+        ["recip", SEMIPRIME],
+        ["eval", f"1 / {SEMIPRIME}"],
+        ["eval", f"1 / {SEMIPRIME}", "--recognize"],
+    ])
+    def test_rejected_in_bounded_time(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (EXIT_MATH, "")
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestGeomCommands:

@@ -5,13 +5,11 @@ from fractions import Fraction
 import pytest
 
 from sexakit.corpus import (
-    Procedure,
-    _dispatch,
+    PROCEDURES,
     bundled_corpus_path,
     find_problem,
     load_corpus,
     replay,
-    replay_smt24_p2,
 )
 from sexakit.errors import (
     BadLiteral,
@@ -22,6 +20,7 @@ from sexakit.errors import (
     UnknownProblem,
     UnknownProcedure,
 )
+from sexakit.procedures import replay_smt24_p2
 from sexakit.sexa import Sexa, render
 from sexakit.units import Dimension, Quantity
 
@@ -41,8 +40,10 @@ class TestLoad:
     def test_bundled_problems(self, bundled):
         assert [p.id for p in bundled] == ["smt24.p1", "smt24.p2", "smt25.p1"]
         assert [p.procedure for p in bundled] == [
-            Procedure.QUADRATIC, Procedure.RECT_CANAL_SYSTEM,
-            Procedure.LABOR_DEPTH]
+            PROCEDURES["quadratic"], PROCEDURES["rect-canal-system"],
+            PROCEDURES["labor-depth"]]
+        assert [p.procedure.name for p in bundled] == [
+            "quadratic", "rect-canal-system", "labor-depth"]
 
     def test_bundled_path_exists(self):
         assert bundled_corpus_path().is_file()
@@ -143,6 +144,52 @@ class TestLoad:
         assert find_problem(bundled, "smt25.p1").id == "smt25.p1"
         with pytest.raises(UnknownProblem):
             find_problem(bundled, "nosuch")
+
+
+#: The smallest record of each registered procedure, with one answer
+#: that it replays to.
+MINIMAL_RECORDS = {
+    "quadratic": ["param A = 1", "param B = 5", "param C = 6",
+                  "expect answer u = 6 nindan"],
+    "rect-canal-system": ["param diff = 0;10", "param depth_factor = 12",
+                          "param thirteenth = 13", "param rhs = 1;15",
+                          "expect answer x = 0;30 1"],
+    "labor-depth": ["given total_water = 6 sar60",
+                    "given workers = 40,0 workers",
+                    "given width = 0;30 nindan", "param reach_length = 5",
+                    "expect answer z = 4;30 kus"],
+}
+REQUIRED_FIELDS = [(spec.name, field) for spec in PROCEDURES.values()
+                   for field in spec.params + spec.givens]
+
+
+def minimal_record(name, drop=None):
+    fields = [line for line in MINIMAL_RECORDS[name]
+              if line.split()[:2] not in (["param", drop], ["given", drop])]
+    return "\n".join(["[problem t.min]", f"procedure = {name}", *fields])
+
+
+class TestRegistry:
+    def test_every_procedure_has_a_minimal_record(self):
+        assert MINIMAL_RECORDS.keys() == PROCEDURES.keys()
+        assert all(spec.name == name for name, spec in PROCEDURES.items())
+
+    @pytest.mark.parametrize("name", PROCEDURES)
+    def test_minimal_record_replays_pass(self, tmp_path, name):
+        problem, = load_corpus(write_corpus(tmp_path, minimal_record(name)))
+        assert problem.procedure is PROCEDURES[name]
+        report = replay(problem)
+        assert report.passed and len(report.rows) == 1
+
+    @pytest.mark.parametrize("name,field", REQUIRED_FIELDS)
+    def test_missing_required_field_is_named(self, tmp_path, name, field):
+        text = minimal_record(name, drop=field)
+        assert f" {field} = " not in text
+        with pytest.raises(CorpusParseError) as err:
+            load_corpus(write_corpus(tmp_path, text))
+        assert err.value.line == 1
+        assert str(err.value).endswith(
+            f"problem t.min is missing fields: {field}")
 
 
 class TestReplay:
@@ -334,7 +381,7 @@ class TestReplayRowText:
     """Every row shows an independent rendering of both values."""
 
     def check_rows(self, problem):
-        trace, answers = _dispatch(problem)
+        trace, answers = problem.procedure.run(problem)
         report = replay(problem)
         expected_steps = {e.label: e for e in problem.expected_steps}
         for row in report.rows:

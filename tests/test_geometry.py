@@ -14,8 +14,6 @@ from sexakit.errors import (
 from sexakit.geometry import (
     SMALL_CANAL_CONSTANT,
     CanalConstant,
-    RectCanal,
-    TrapezoidCanal,
     breadths_from_constraints,
     depth_from_labor,
     length_from_volume,
@@ -24,7 +22,7 @@ from sexakit.geometry import (
     trapezoid_cross_section,
 )
 from sexakit.sexa import Sexa, render
-from sexakit.units import Dimension, Quantity, sar_to_volume_sar
+from sexakit.units import Dimension, Quantity, qmul, sar_to_volume_sar
 
 N = Dimension.LENGTH_NINDAN
 K = Dimension.LENGTH_KUS
@@ -214,12 +212,11 @@ class TestDepthFromLabor:
             Quantity(Sexa("40,0"), W), nindan("0;30"))
         ratio = SMALL_CANAL_CONSTANT.ratio
         assert water_depth.magnitude / depth.magnitude == ratio
-        # V'/V = S'/S = the constant, for the reconstructed canal
-        canal = RectCanal(nindan(1), nindan("0;30"), depth)
-        section = canal.cross_section()
+        # V'/V = S'/S = the constant, for a 1-nindan slice of the canal
+        section = qmul(nindan("0;30"), depth)
         submerged = Quantity(section.magnitude * ratio, section.dim)
         assert submerged.magnitude / section.magnitude == ratio
-        volume = canal.volume()
+        volume = prism_volume(section, nindan(1))
         reserved = reserved_water_volume(volume)
         assert reserved.magnitude / volume.magnitude == ratio
 
@@ -242,25 +239,26 @@ class TestDepthFromLabor:
 
 
 class TestCanalTypes:
-    def test_trapezoid_canal(self):
-        canal = TrapezoidCanal(nindan(5), nindan(3), nindan(45), kus(8))
-        assert canal.cross_section() == Quantity(32, X)
-        assert canal.volume() == Quantity(1440, V)
+    """The trapezoidal canal of SMT No. 24 and the rectangular one of
+    SMT No. 25, swept from their cross-sections."""
 
-    def test_trapezoid_breadth_order(self):
-        with pytest.raises(InconsistentConstraint):
-            TrapezoidCanal(nindan(3), nindan(5), nindan(45), kus(8))
+    def test_trapezoid_canal(self):
+        section = trapezoid_cross_section(nindan(5), nindan(3), kus(8))
+        assert section == Quantity(32, X)
+        assert prism_volume(section, nindan(45)) == Quantity(1440, V)
 
     def test_rect_canal(self):
-        canal = RectCanal(nindan(1), nindan("0;30"), kus("4;30"))
-        assert canal.cross_section() == Quantity(Sexa("2;15"), X)
-        assert canal.volume() == Quantity(Sexa("2;15"), V)
+        section = qmul(nindan("0;30"), kus("4;30"))
+        assert section == Quantity(Sexa("2;15"), X)
+        assert prism_volume(section, nindan(1)) == Quantity(Sexa("2;15"), V)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(NonPositiveDimension):
-            RectCanal(nindan(0), nindan(1), kus(1))
+            prism_volume(Quantity(1, X), nindan(0))
+        with pytest.raises(NonPositiveDimension):
+            prism_volume(Quantity(-1, X), nindan(1))
         with pytest.raises(DimensionMismatch):
-            RectCanal(nindan(1), kus(1), kus(1))
+            prism_volume(Quantity(1, X), kus(1))
 
 
 class TestFullVerificationChain:

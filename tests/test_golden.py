@@ -64,10 +64,3 @@ def test_golden_output(capsys, monkeypatch, case):
     monkeypatch.delenv("SEXAKIT_CORPUS", raising=False)
     expected = (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
     assert transcript(capsys, CASES[case]) == expected
-
-
-@pytest.mark.parametrize("stage", STAGES)
-def test_stage_corpus_fails_in_its_stage(stage):
-    expected = (GOLDEN / f"stage-{stage}.txt").read_text(encoding="utf-8")
-    assert expected.startswith("exit 3\n")
-    assert f": {stage}: " in expected

@@ -19,12 +19,11 @@ from sexakit.procedures import (
     QuadraticProblem,
     StepTrace,
     SumDifferenceProblem,
-    apply_identity_sum_of_squares,
     divide_by_recognition,
     solve_quadratic_scribal,
     solve_sum_difference,
 )
-from sexakit.sexa import Sexa, render
+from sexakit.sexa import Sexa, render, square
 
 
 def quadratic_oracle_positive_branch(a, b, c):
@@ -191,18 +190,28 @@ class TestDivideByRecognition:
 
 
 class TestIdentity:
+    """x^2 + y^2 = (x - y)^2 + 2xy, the rewrite the SMT No. 24 p2 system
+    is reduced by, on the x and y the sum-difference method recovers."""
+
+    def sum_of_squares(self, diff, prod):
+        x, y, _ = solve_sum_difference(SumDifferenceProblem(diff, prod))
+        got = square(x) + square(y)
+        assert got == square(x - y) + 2 * (x * y) == square(diff) + 2 * prod
+        return got
+
     def test_smt24_p2_numbers(self):
-        # (x-y)^2 + 2xy with both equal to 0;10 gives 13/36 = 0;21,40
-        got = apply_identity_sum_of_squares(Sexa("0;10"), Sexa("0;10"))
+        # x - y = xy = 0;10 (x = 0;30, y = 0;20) gives 13/36 = 0;21,40
+        got = self.sum_of_squares(Sexa("0;10"), Sexa("0;10"))
         assert got == Fraction(13, 36)
         assert render(got) == "0;21,40"
 
     def test_equal_values(self):
-        assert apply_identity_sum_of_squares(0, Fraction(5, 2)) == 5
+        # x = y = 0;30: the difference term vanishes
+        assert self.sum_of_squares(0, Sexa("0;15")) == Sexa("0;30")
 
     def test_integers_brute_force(self):
         # x=3, y=2: x^2+y^2 = 13
-        assert apply_identity_sum_of_squares(1, 6) == 13 == 3**2 + 2**2
+        assert self.sum_of_squares(1, 6) == 13 == 3**2 + 2**2
 
 
 class TestStepTrace:

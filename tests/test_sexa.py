@@ -19,21 +19,19 @@ from sexakit.errors import (
     ZeroInput,
 )
 from sexakit.sexa import (
+    _PRIME_SEARCH_LIMIT,
     Sexa,
     _smallest_prime_factor,
     _strip_smooth,
     SexaDigits,
-    add,
     decompose,
     halve,
     is_regular,
-    mul,
     parse,
     reciprocal,
     render,
     sqrt_exact,
     square,
-    sub,
 )
 
 
@@ -125,16 +123,16 @@ class TestRender:
 class TestArithmetic:
     def test_tablet_addition(self):
         # obv.28-29: the completed square
-        assert add(parse("20,3;13,21,33,45"), parse("1,5;55,4,41,15")) \
+        assert parse("20,3;13,21,33,45") + parse("1,5;55,4,41,15") \
             == parse("21,9;8,26,15")
 
     def test_tablet_subtraction(self):
         # rev.9
-        assert sub(parse("16;15"), parse("0;1,40")) == parse("16;13,20")
+        assert parse("16;15") - parse("0;1,40") == parse("16;13,20")
 
     def test_mul_identity(self):
         x = parse("7;45")
-        assert mul(x, 1) == x
+        assert x * 1 == 1 * x == x
 
     def test_halve(self):
         assert halve(parse("1,9;22,30")) == parse("34;41,15")
@@ -230,7 +228,7 @@ class TestReciprocal:
 
     def test_exact_inverse(self):
         x = parse("0;48")
-        assert mul(x, reciprocal(x)) == 1
+        assert x * reciprocal(x) == 1
 
     def test_irregular_rejected(self):
         with pytest.raises(IrregularDivisor) as err:
@@ -449,6 +447,59 @@ class TestBulkKernels:
         elapsed = time.perf_counter() - start
         assert len(text.replace(";", ",").split(",")) >= 20000
         assert elapsed < 5, f"{elapsed:.2f} s"
+
+
+# -- naming the prime of an irregular value, in bounded time ------------------
+
+#: Two primes above the search limit: trial division up to the smaller
+#: one takes about a minute.
+SEMIPRIME = 1000000007 * 1000000009
+
+
+class TestBoundedPrimeSearch:
+    def test_limit_covers_every_prime_up_to_1e6(self):
+        assert _PRIME_SEARCH_LIMIT >= 10**6
+
+    @pytest.mark.parametrize("n,p", [
+        (999983**2, 999983),            # the largest prime below 10**6
+        (999983 * SEMIPRIME, 999983),
+        (1000003, 1000003),             # prime, and its root is below
+        (SEMIPRIME, None),
+        (1299709 * 1299721, None),
+        (SEMIPRIME**40, None),
+    ])
+    def test_search_stops_at_the_limit(self, n, p):
+        start = time.perf_counter()
+        assert _smallest_prime_factor(n) == p
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("call,error", [
+        (lambda: reciprocal(SEMIPRIME), IrregularDivisor),
+        (lambda: reciprocal(Sexa(60, SEMIPRIME)), IrregularDivisor),
+        (lambda: render(Sexa(1, SEMIPRIME)), NonTerminating),
+        (lambda: decompose(Sexa(7, SEMIPRIME)), NonTerminating),
+    ])
+    def test_semiprime_rejected_without_a_prime(self, call, error):
+        start = time.perf_counter()
+        with pytest.raises(error) as err:
+            call()
+        assert time.perf_counter() - start < 1
+        assert err.value.prime is None
+        message = str(err.value)
+        assert f"above {_PRIME_SEARCH_LIMIT}" in message
+        assert f"prime {SEMIPRIME}" not in message
+        assert f"factor {SEMIPRIME}" not in message
+
+    def test_repr_of_semiprime_denominator(self):
+        start = time.perf_counter()
+        assert repr(Sexa(1, SEMIPRIME)) == f"Sexa(1, {SEMIPRIME})"
+        assert time.perf_counter() - start < 1
+
+    def test_named_prime_messages_unchanged(self):
+        with pytest.raises(NonTerminating, match=r"contains prime 7\)"):
+            render(Fraction(1, 14))
+        with pytest.raises(IrregularDivisor, match=r"\(prime factor 13\)"):
+            reciprocal(26)
 
 
 # -- values built without a second normalization ------------------------------

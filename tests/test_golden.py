@@ -47,6 +47,16 @@ CASES = {
     "trapezoid-json": ["geom", "trapezoid", "5", "3", "8", "--json"],
     "volume": ["geom", "volume", "32", "45"],
     "volume-json": ["geom", "volume", "32", "45", "--json"],
+    "eval-irregular": ["eval", "7;45 / 46;30"],
+    "eval-recognize": ["eval", "7;45 / 46;30", "--recognize"],
+    "eval-recognize-json": ["eval", "7;45 / 46;30", "--recognize", "--json"],
+    "eval-oracle-fallback": ["eval", "1 / 7", "--oracle"],
+    "eval-recognize-nonterminating": ["eval", "1 / 7", "--recognize"],
+    "recip": ["recip", "40,0"],
+    "recip-irregular": ["recip", "0;7"],
+    "recip-semiprime": ["recip", "1,39,13,44,30,51,1,43,42,14,23"],
+    "sqrt": ["sqrt", "21,9;8,26,15"],
+    "sqrt-not-square": ["sqrt", "2"],
     **{f"stage-{stage}": ["replay", "--all", "--corpus",
                           str(GOLDEN / f"stage-{stage}.corpus")]
        for stage in STAGES},

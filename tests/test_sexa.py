@@ -501,6 +501,22 @@ class TestBoundedPrimeSearch:
         with pytest.raises(IrregularDivisor, match=r"\(prime factor 13\)"):
             reciprocal(26)
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda: render(Sexa(1, 7)),
+         "1/7 has no finite base-60 expansion (denominator contains prime 7)"),
+        (lambda: render(Sexa(-61, 420)),
+         "-61/420 has no finite base-60 expansion "
+         "(denominator contains prime 7)"),
+        (lambda: reciprocal(Sexa(-13, 7)),
+         "-13/7 is not a regular number (prime factor 13); "
+         "it has no finite reciprocal"),
+    ])
+    def test_message_names_a_non_terminating_value_as_p_over_q(
+            self, call, message):
+        with pytest.raises((NonTerminating, IrregularDivisor)) as err:
+            call()
+        assert str(err.value) == message
+
 
 # -- values built without a second normalization ------------------------------
 

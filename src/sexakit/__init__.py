@@ -28,7 +28,6 @@ from .geometry import (
     depth_from_labor,
     length_from_volume,
     prism_volume,
-    reserved_water_volume,
     trapezoid_cross_section,
 )
 from .procedures import (
@@ -43,8 +42,6 @@ from .procedures import (
 )
 from .sexa import (
     Sexa,
-    SexaDigits,
-    decompose,
     halve,
     is_regular,
     parse,
@@ -57,7 +54,6 @@ from .units import (
     KUS_PER_NINDAN,
     Dimension,
     Quantity,
-    nindan_to_kus,
     parse_quantity,
     qdiv,
     qmul,
@@ -69,19 +65,18 @@ __version__ = "0.1.0"
 __all__ = [
     "errors",
     # numbers
-    "Sexa", "SexaDigits", "parse", "render", "decompose",
+    "Sexa", "parse", "render",
     "halve", "square", "sqrt_exact", "reciprocal", "is_regular",
     # units
     "Dimension", "Quantity", "KUS_PER_NINDAN",
-    "qmul", "qdiv", "nindan_to_kus",
-    "sar_to_volume_sar", "parse_quantity",
+    "qmul", "qdiv", "sar_to_volume_sar", "parse_quantity",
     # procedures
     "Step", "StepTrace", "QuadraticProblem", "SumDifferenceProblem",
     "solve_quadratic_scribal", "solve_sum_difference",
     "divide_by_recognition", "replay_smt24_p2",
     # geometry
     "CanalConstant", "SMALL_CANAL_CONSTANT",
-    "trapezoid_cross_section", "prism_volume", "reserved_water_volume",
+    "trapezoid_cross_section", "prism_volume",
     "breadths_from_constraints", "length_from_volume", "depth_from_labor",
     # corpus
     "PROCEDURES", "ProcedureSpec", "ExpectedStep", "TabletProblem",

@@ -207,17 +207,11 @@ def _check_new(table: dict, key: str, what: str, line_no: int) -> None:
         raise CorpusParseError(f"duplicate {what} {key!r}", line=line_no)
 
 
-def _parse_literal(text: str, line_no: int, line: str) -> Sexa:
+def _parse_field(parse: Callable[[str], Sexa | Quantity], text: str,
+                 line_no: int, line: str) -> Sexa | Quantity:
+    """``parse(text)``, reporting a malformed literal at its line and column."""
     try:
-        return Sexa(text)
-    except MalformedLiteral as exc:
-        col = line.find(text) + 1
-        raise BadLiteral(str(exc), line=line_no, column=col or None) from exc
-
-
-def _parse_quantity_field(text: str, line_no: int, line: str) -> Quantity:
-    try:
-        return parse_quantity(text)
+        return parse(text)
     except MalformedLiteral as exc:
         col = line.find(text) + 1
         raise BadLiteral(str(exc), line=line_no, column=col or None) from exc
@@ -291,7 +285,8 @@ def load_corpus(path: str | os.PathLike | None = None) -> list[TabletProblem]:
                 raise CorpusParseError("given needs '<name> = <literal> "
                                        "<unit>'", line=line_no)
             _check_new(builder.givens, name, "given", line_no)
-            builder.givens[name] = _parse_quantity_field(value, line_no, raw)
+            builder.givens[name] = _parse_field(
+                parse_quantity, value, line_no, raw)
         elif kind == "param":
             name, _, value = rest.partition("=")
             name, value = name.strip(), value.strip()
@@ -299,7 +294,7 @@ def load_corpus(path: str | os.PathLike | None = None) -> list[TabletProblem]:
                 raise CorpusParseError("param needs '<name> = <literal>'",
                                        line=line_no)
             _check_new(builder.parameters, name, "param", line_no)
-            builder.parameters[name] = _parse_literal(value, line_no, raw)
+            builder.parameters[name] = _parse_field(Sexa, value, line_no, raw)
         else:  # expect
             sub, _, tail = rest.partition(" ")
             tail = tail.strip()
@@ -315,7 +310,7 @@ def load_corpus(path: str | os.PathLike | None = None) -> list[TabletProblem]:
                 _check_new(builder.steps, name, "step label", line_no)
                 builder.steps[name] = ExpectedStep(
                     label=name,
-                    value=_parse_literal(literal, line_no, raw),
+                    value=_parse_field(Sexa, literal, line_no, raw),
                     line=tag.rstrip("?"),
                     uncertain=tag.endswith("?"))
             elif sub == "answer":
@@ -326,8 +321,8 @@ def load_corpus(path: str | os.PathLike | None = None) -> list[TabletProblem]:
                         "expect answer needs '<name> = <literal> <unit>'",
                         line=line_no)
                 _check_new(builder.answers, name, "answer", line_no)
-                builder.answers[name] = _parse_quantity_field(
-                    value, line_no, raw)
+                builder.answers[name] = _parse_field(
+                    parse_quantity, value, line_no, raw)
             else:
                 raise CorpusParseError(
                     f"expect must be 'step' or 'answer', got {sub!r}",
@@ -341,7 +336,7 @@ def find_problem(problems: list[TabletProblem], problem_id: str,
     for p in problems:
         if p.id == problem_id:
             return p
-    raise UnknownProblem(problem_id)
+    raise UnknownProblem(f"unknown problem {problem_id!r}")
 
 
 # -- procedures behind the corpus ---------------------------------------------

@@ -6,23 +6,6 @@ Grouped the way the CLI maps them to exit codes: input/grammar problems
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-
-def _plain(value) -> str:
-    # Base-60 text when the value terminates, p/q otherwise.  The renderer
-    # is called only through its non-raising fallback path: these messages
-    # are built while a rendering failure is already being raised.
-    if isinstance(value, Fraction):
-        try:
-            from .sexa import render
-            return render(value, fraction_fallback=True)
-        except Exception:
-            if value.denominator == 1:
-                return str(value.numerator)
-            return f"{value.numerator}/{value.denominator}"
-    return str(value)
-
 
 class SexakitError(Exception):
     """Base class for every error raised by this package."""
@@ -65,6 +48,9 @@ class UnknownProcedure(CorpusParseError):
 class UnknownProblem(SexakitError, KeyError):
     """A requested problem id is not in the loaded corpus."""
 
+    # KeyError's str quotes its argument; print the message as it is.
+    __str__ = Exception.__str__
+
 
 # -- mathematical preconditions ----------------------------------------------
 
@@ -88,7 +74,8 @@ def _prime(noun: str, prime: int | None) -> str:
 class NonTerminating(SexakitError):
     """Value has no finite base-60 expansion.
 
-    ``prime`` is the smallest prime other than 2, 3, 5 in the denominator,
+    ``value`` is a ``Sexa``; the message writes it as ``str`` does, in
+    base 60 when it terminates and as p/q otherwise.  ``prime`` is the smallest prime other than 2, 3, 5 in the denominator,
     or None when that prime lies above the bounded search.
     """
 
@@ -96,14 +83,14 @@ class NonTerminating(SexakitError):
         self.value = value
         self.prime = prime
         super().__init__(
-            f"{_plain(value)} has no finite base-60 expansion "
+            f"{value} has no finite base-60 expansion "
             f"(denominator contains {_prime('prime', prime)})")
 
 
 class IrregularDivisor(SexakitError):
     """Divisor is not regular, so it has no finite reciprocal.
 
-    ``prime`` is the smallest prime factor other than 2, 3, 5, or None
+    ``value`` is a ``Sexa``, written as in ``NonTerminating``.  ``prime`` is the smallest prime factor other than 2, 3, 5, or None
     when that prime lies above the bounded search.
     """
 
@@ -111,7 +98,7 @@ class IrregularDivisor(SexakitError):
         self.value = value
         self.prime = prime
         super().__init__(
-            f"{_plain(value)} is not a regular number "
+            f"{value} is not a regular number "
             f"({_prime('prime factor', prime)}); it has no finite reciprocal")
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "SMALL_CANAL_CONSTANT",
     "trapezoid_cross_section",
     "prism_volume",
-    "reserved_water_volume",
     "breadths_from_constraints",
     "length_from_volume",
     "depth_from_labor",
@@ -85,14 +84,6 @@ def prism_volume(section: Quantity, length: Quantity) -> Quantity:
               "cross-section")
     _positive(_expect(length, Dimension.LENGTH_NINDAN, "length"), "length")
     return qmul(length, section)
-
-
-def reserved_water_volume(volume: Quantity,
-                          constant: CanalConstant = SMALL_CANAL_CONSTANT,
-                          ) -> Quantity:
-    """V' = ratio * V: the part of a canal volume actually under water."""
-    _expect(volume, Dimension.VOLUME_SAR, "volume")
-    return volume * constant.ratio
 
 
 def breadths_from_constraints(upper: SexaLike, *,

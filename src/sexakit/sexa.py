@@ -21,10 +21,13 @@ implemented as multiplication by a reciprocal) insist on them.
 Everything here is immutable and pure; values are safe to share between
 threads.
 
-Cost model, for a value of n digit groups.  Parsing folds every group
-into one integer, rendering peels five digits per big-integer division,
-and stripping 2, 3 and 5 (``is_regular``, ``reciprocal``) takes one shift
-and O(log e) divisions per prime power p**e.  So the Python-level work is
+Cost model, for a value of n digit groups.  ``parse`` folds every group
+into one integer.  ``render``, the one path from a value to its literal
+(``str``, ``format`` and ``repr`` call it), peels five digits per
+big-integer division, then joins the integer and the fractional groups
+into the text once each.  Stripping 2, 3 and 5 (``is_regular``,
+``reciprocal``) takes one shift and O(log e) divisions per prime power
+p**e.  So the Python-level work is
 at most one step per group, but each step's big-integer arithmetic is
 linear in the length of the number: all three keep a quadratic term, and
 doubling n at a few thousand groups costs 3x to 4x.  Rejecting an
@@ -50,7 +53,6 @@ use a ``Fraction`` argument as it is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -65,10 +67,8 @@ from .errors import (
 
 __all__ = [
     "Sexa",
-    "SexaDigits",
     "parse",
     "render",
-    "decompose",
     "halve",
     "square",
     "sqrt_exact",
@@ -202,60 +202,6 @@ class Sexa(Fraction):
             return f"Sexa({self.numerator}, {self.denominator})"
 
 
-@dataclass(frozen=True)
-class SexaDigits:
-    """Canonical digit form of a finite sexagesimal value.
-
-    ``digits`` is the full big-endian digit string and ``radix_offset`` the
-    number of integer-part digits, so ``digits[:radix_offset]`` is the
-    integer part.  Canonical means: no leading zero digit in the integer
-    part (unless the integer part is the single digit 0) and no trailing
-    zero digit in the fractional part.
-    """
-
-    sign: int
-    digits: tuple[int, ...]
-    radix_offset: int
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if not self.digits:
-            raise ValueError("digit list must not be empty (zero is (0,))")
-        if min(self.digits) < 0 or max(self.digits) > 59:
-            raise ValueError("every digit must lie in 0..59")
-        if not 1 <= self.radix_offset <= len(self.digits):
-            raise ValueError("radix offset must leave a nonempty integer part")
-        if self.digits[0] == 0 and self.radix_offset != 1:
-            raise ValueError("integer part has a leading zero digit")
-        if self.radix_offset < len(self.digits) and self.digits[-1] == 0:
-            raise ValueError("fractional part has a trailing zero digit")
-        if self.sign == -1 and not any(self.digits):
-            raise ValueError("zero carries sign +1")
-
-    @property
-    def integer_digits(self) -> tuple[int, ...]:
-        return self.digits[:self.radix_offset]
-
-    @property
-    def fraction_digits(self) -> tuple[int, ...]:
-        return self.digits[self.radix_offset:]
-
-    def to_string(self) -> str:
-        digits, offset = self.digits, self.radix_offset
-        text = ",".join(map(str, digits[:offset]))
-        if offset < len(digits):
-            text += ";" + ",".join(map(str, digits[offset:]))
-        return ("-" if self.sign < 0 else "") + text
-
-    def value(self) -> Sexa:
-        n = 0
-        for d in self.digits:
-            n = n * 60 + d
-        scale = 60 ** (len(self.digits) - self.radix_offset)
-        return Sexa(self.sign * n, scale)
-
-
 def _split_groups(part: str, text: str) -> list[int]:
     groups = []
     for raw in part.split(","):
@@ -357,8 +303,14 @@ def _expansion_exponent(den: int) -> tuple[int, int]:
     return leftover, max((exp[2] + 1) // 2, exp[3], exp[5])
 
 
-def _digits(f: Fraction, k: int) -> SexaDigits:
-    """Digit form of f, whose denominator divides 60**k."""
+def _digits(f: Fraction, k: int) -> str:
+    """Canonical literal of f, for the smallest k with f's denominator
+    dividing 60**k (``_expansion_exponent``).
+
+    The form is canonical by construction: a minimal k leaves no trailing
+    zero in the fractional part, and padding only up to k + 1 digits
+    leaves no leading zero in the integer part.
+    """
     scaled = abs(f.numerator) * (60 ** k // f.denominator)
     digits = []
     while scaled >= _CHUNK:
@@ -372,20 +324,11 @@ def _digits(f: Fraction, k: int) -> SexaDigits:
     while len(digits) < k + 1:
         digits.append(0)
     digits.reverse()
-    sign = -1 if f.numerator < 0 else 1
-    return SexaDigits(sign, tuple(digits), len(digits) - k)
-
-
-def decompose(x: SexaLike) -> SexaDigits:
-    """Break a finite value into its canonical digit form.
-
-    Raises NonTerminating when the reduced denominator is not 60-smooth.
-    """
-    f = _as_fraction(x)
-    leftover, k = _expansion_exponent(f.denominator)
-    if leftover != 1:
-        raise NonTerminating(Sexa(f), _smallest_prime_factor(leftover))
-    return _digits(f, k)
+    point = len(digits) - k
+    text = ",".join(map(str, digits[:point]))
+    if k:
+        text += ";" + ",".join(map(str, digits[point:]))
+    return "-" + text if f.numerator < 0 else text
 
 
 def render(x: SexaLike, fraction_fallback: bool = False) -> str:
@@ -400,7 +343,7 @@ def render(x: SexaLike, fraction_fallback: bool = False) -> str:
         if fraction_fallback:
             return f"{f.numerator}/{f.denominator}"
         raise NonTerminating(Sexa(f), _smallest_prime_factor(leftover))
-    return _digits(f, k).to_string()
+    return _digits(f, k)
 
 
 def halve(x: SexaLike) -> Sexa:

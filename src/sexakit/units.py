@@ -27,7 +27,6 @@ __all__ = [
     "KUS_PER_NINDAN",
     "qmul",
     "qdiv",
-    "nindan_to_kus",
     "sar_to_volume_sar",
     "parse_quantity",
 ]
@@ -148,13 +147,6 @@ def qdiv(a: Quantity, b: Quantity) -> Quantity:
                 f"no quotient defined for {a.dim.value} / {b.dim.value}")
         out = candidates[0]
     return Quantity(a.magnitude * reciprocal(b.magnitude), out)
-
-
-def nindan_to_kus(q: Quantity) -> Quantity:
-    """Convert a nindan length to kùš (the depth constant 12)."""
-    if q.dim is not Dimension.LENGTH_NINDAN:
-        raise DimensionMismatch(f"expected nindan, got {q.dim.value}")
-    return Quantity(q.magnitude * KUS_PER_NINDAN, Dimension.LENGTH_KUS)
 
 
 def sar_to_volume_sar(count: SexaLike, unit: str = "volume-sar") -> Quantity:

@@ -88,6 +88,24 @@ class TestLoad:
             load_corpus(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("field,message", [
+        ("param A = 61", "line 3, column 11: '61': digit 61 out of range 0..59"),
+        ("given V = 1,61 volume-sar",
+         "line 3, column 11: '1,61': digit 61 out of range 0..59"),
+        ("expect step half_B = 3;7x @ obv.26",
+         "line 3, column 22: '3;7x': bad digit group '7x'"),
+        ("expect answer x = 45 furlong",
+         "line 3, column 19: '45 furlong': unknown unit 'furlong'"),
+        ("param  A =  0;30;1   # two points",
+         "line 3, column 13: '0;30;1': more than one radix point"),
+    ])
+    def test_bad_literal_message(self, tmp_path, field, message):
+        path = write_corpus(
+            tmp_path, f"[problem t.p1]\nprocedure = quadratic\n{field}\n")
+        with pytest.raises(BadLiteral) as err:
+            load_corpus(path)
+        assert str(err.value) == message
+
     def test_unknown_procedure(self, tmp_path):
         path = write_corpus(tmp_path,
                             "[problem t.p1]\nprocedure = divination\n")

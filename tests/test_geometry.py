@@ -18,7 +18,6 @@ from sexakit.geometry import (
     depth_from_labor,
     length_from_volume,
     prism_volume,
-    reserved_water_volume,
     trapezoid_cross_section,
 )
 from sexakit.sexa import Sexa, render
@@ -98,15 +97,16 @@ class TestVolume:
 
 class TestReservedWater:
     def test_four_fifths_of_full_volume(self):
-        got = reserved_water_volume(Quantity(1440, V))
+        got = Quantity(1440, V) * SMALL_CANAL_CONSTANT.ratio
         assert got.magnitude == Fraction(4, 5) * 1440 == 1152
+        assert got.dim is V
         assert render(got.magnitude) == "19,12"
 
     def test_zero_volume(self):
-        assert reserved_water_volume(Quantity(0, V)).magnitude == 0
+        assert (Quantity(0, V) * SMALL_CANAL_CONSTANT.ratio).magnitude == 0
 
     def test_small_case(self):
-        got = reserved_water_volume(Quantity(5, V))
+        got = Quantity(5, V) * SMALL_CANAL_CONSTANT.ratio
         assert got.magnitude == Fraction(4, 5) * 5 == 4
 
     def test_constant_invariants(self):
@@ -217,7 +217,7 @@ class TestDepthFromLabor:
         submerged = Quantity(section.magnitude * ratio, section.dim)
         assert submerged.magnitude / section.magnitude == ratio
         volume = prism_volume(section, nindan(1))
-        reserved = reserved_water_volume(volume)
+        reserved = volume * ratio
         assert reserved.magnitude / volume.magnitude == ratio
 
     def test_irregular_divisors_rejected(self):

@@ -57,6 +57,8 @@ CASES = {
     "recip-semiprime": ["recip", "1,39,13,44,30,51,1,43,42,14,23"],
     "sqrt": ["sqrt", "21,9;8,26,15"],
     "sqrt-not-square": ["sqrt", "2"],
+    "replay-unknown-id": ["replay", "nosuch"],
+    "replay-no-id": ["replay"],
     **{f"stage-{stage}": ["replay", "--all", "--corpus",
                           str(GOLDEN / f"stage-{stage}.corpus")]
        for stage in STAGES},

@@ -4,6 +4,7 @@ import copy
 import math
 import operator
 import pickle
+import re
 import time
 from fractions import Fraction
 
@@ -23,8 +24,6 @@ from sexakit.sexa import (
     Sexa,
     _smallest_prime_factor,
     _strip_smooth,
-    SexaDigits,
-    decompose,
     halve,
     is_regular,
     parse,
@@ -277,6 +276,19 @@ class TestSqrt:
             sqrt_exact(Sexa("-0;30"))
 
 
+def assert_canonical(x):
+    """render(x) is the canonical literal, judged on the text alone."""
+    text = render(x)
+    assert text != "-0"
+    assert text.startswith("-") == (x < 0)
+    head, point, tail = text.removeprefix("-").partition(";")
+    groups = head.split(",") + (tail.split(",") if point else [])
+    assert all(re.fullmatch(r"[1-5]?\d", g) for g in groups), text
+    assert head == "0" or not head.startswith("0"), text
+    assert not point or groups[-1] != "0", text
+    assert bool(point) == (Fraction(x).denominator != 1), text
+
+
 class TestRoundTrips:
     @given(smooth_values())
     def test_parse_render(self, x):
@@ -287,38 +299,15 @@ class TestRoundTrips:
         text = render(x)
         assert render(parse(text)) == text
 
+    @given(smooth_values())
+    def test_render_text_is_canonical(self, x):
+        assert_canonical(x)
+
     @given(st.integers(-59, 59), st.integers(0, 59), st.integers(0, 59))
     def test_literal_canonicalization_is_idempotent(self, a, b, c):
         text = f"{abs(a)},{b};{c}"
         value = parse(text)
         assert parse(render(value)) == value
-
-
-class TestDigits:
-    def test_decompose(self):
-        d = decompose(parse("21,9;8,26,15"))
-        assert d.sign == 1
-        assert d.integer_digits == (21, 9)
-        assert d.fraction_digits == (8, 26, 15)
-        assert d.value() == parse("21,9;8,26,15")
-
-    def test_zero_form(self):
-        d = decompose(0)
-        assert d.digits == (0,) and d.radix_offset == 1
-        assert d.to_string() == "0"
-
-    @pytest.mark.parametrize("sign,digits,offset", [
-        (1, (), 1),             # empty
-        (1, (60,), 1),          # digit out of range
-        (1, (0, 5), 2),         # leading zero integer digit
-        (1, (1, 0), 1),         # trailing zero fraction digit
-        (1, (1, 2), 0),         # empty integer part
-        (-1, (0,), 1),          # negative zero
-        (2, (1,), 1),           # bad sign
-    ])
-    def test_invariants_enforced(self, sign, digits, offset):
-        with pytest.raises(ValueError):
-            SexaDigits(sign, digits, offset)
 
 
 # -- the bulk kernels against one-step-at-a-time references -------------------
@@ -407,7 +396,7 @@ class TestBulkKernels:
         text = render(x)
         assert text == naive_render(x)
         assert parse(text) == x
-        assert decompose(x).value() == x
+        assert_canonical(x)
 
     @given(st.integers(0, 300), st.integers(0, 300), st.integers(0, 300),
            st.integers(1, 10**12))
@@ -477,7 +466,6 @@ class TestBoundedPrimeSearch:
         (lambda: reciprocal(SEMIPRIME), IrregularDivisor),
         (lambda: reciprocal(Sexa(60, SEMIPRIME)), IrregularDivisor),
         (lambda: render(Sexa(1, SEMIPRIME)), NonTerminating),
-        (lambda: decompose(Sexa(7, SEMIPRIME)), NonTerminating),
     ])
     def test_semiprime_rejected_without_a_prime(self, call, error):
         start = time.perf_counter()

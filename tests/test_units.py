@@ -13,7 +13,6 @@ from sexakit.units import (
     Dimension,
     KUS_PER_NINDAN,
     Quantity,
-    nindan_to_kus,
     parse_quantity,
     qdiv,
     qmul,
@@ -32,20 +31,16 @@ ONE = Dimension.DIMENSIONLESS
 class TestConversions:
     def test_nindan_to_kus(self):
         # obv.36: "Multiply 0;40 by 12 of the depth, you see 8"
-        assert nindan_to_kus(Quantity(Sexa("0;40"), N)) == Quantity(8, K)
-        assert nindan_to_kus(Quantity(0, N)) == Quantity(0, K)
-        assert nindan_to_kus(Quantity(1, N)) == Quantity(12, K)
+        assert Sexa("0;40") * KUS_PER_NINDAN == 8
+        assert Sexa(0) * KUS_PER_NINDAN == 0
+        assert Sexa(1) * KUS_PER_NINDAN == 12
 
     def test_kus_round_trip(self):
         q = Quantity(Sexa("0;40"), N)
-        back = nindan_to_kus(q).magnitude / KUS_PER_NINDAN
-        assert Quantity(back, N) == q
+        kus = Quantity(q.magnitude * KUS_PER_NINDAN, K)
+        assert kus == Quantity(8, K)
+        assert Quantity(kus.magnitude / KUS_PER_NINDAN, N) == q
         assert KUS_PER_NINDAN == 12
-
-    def test_wrong_dimension(self):
-        for dim in (K, A, ONE):
-            with pytest.raises(DimensionMismatch):
-                nindan_to_kus(Quantity(1, dim))
 
     @pytest.mark.parametrize("count,unit,expected", [
         (6, "sar60", 21600),        # 6 shar = 6,0,0 volume-sar

@@ -209,7 +209,7 @@ def _check_new(table: dict, key: str, what: str, line_no: int) -> None:
 
 def _parse_field(parse: Callable[[str], Sexa | Quantity], text: str,
                  line_no: int, line: str) -> Sexa | Quantity:
-    """``parse(text)``, reporting a malformed literal at its line and column."""
+    """``parse(text)``; a malformed literal is reported at its column."""
     try:
         return parse(text)
     except MalformedLiteral as exc:

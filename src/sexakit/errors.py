@@ -75,8 +75,9 @@ class NonTerminating(SexakitError):
     """Value has no finite base-60 expansion.
 
     ``value`` is a ``Sexa``; the message writes it as ``str`` does, in
-    base 60 when it terminates and as p/q otherwise.  ``prime`` is the smallest prime other than 2, 3, 5 in the denominator,
-    or None when that prime lies above the bounded search.
+    base 60 when it terminates and as p/q otherwise.  ``prime`` is the
+    smallest prime other than 2, 3, 5 in the denominator, or None when
+    that prime lies above the bounded search.
     """
 
     def __init__(self, value, prime: int | None):
@@ -90,8 +91,9 @@ class NonTerminating(SexakitError):
 class IrregularDivisor(SexakitError):
     """Divisor is not regular, so it has no finite reciprocal.
 
-    ``value`` is a ``Sexa``, written as in ``NonTerminating``.  ``prime`` is the smallest prime factor other than 2, 3, 5, or None
-    when that prime lies above the bounded search.
+    ``value`` is a ``Sexa``, written as in ``NonTerminating``.  ``prime``
+    is the smallest prime factor other than 2, 3, 5, or None when that
+    prime lies above the bounded search.
     """
 
     def __init__(self, value, prime: int | None):

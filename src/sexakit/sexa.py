@@ -27,17 +27,16 @@ into one integer.  ``render``, the one path from a value to its literal
 big-integer division, then joins the integer and the fractional groups
 into the text once each.  Stripping 2, 3 and 5 (``is_regular``,
 ``reciprocal``) takes one shift and O(log e) divisions per prime power
-p**e.  So the Python-level work is
-at most one step per group, but each step's big-integer arithmetic is
-linear in the length of the number: all three keep a quadratic term, and
-doubling n at a few thousand groups costs 3x to 4x.  Rejecting an
-irregular number is the exception: naming the prime in
-``IrregularDivisor``/``NonTerminating`` trial-divides the non-smooth part
-m by the integers coprime to 30, up to its smallest prime p, up to
-sqrt(m) when m is prime, or up to ``_PRIME_SEARCH_LIMIT`` (10**6),
-whichever comes first: at most about 270 000 divisions, each linear in
-the length of m.  Past the limit the error names no prime (``.prime``
-is None).
+p**e.  So the Python-level work is at most one step per group, but each
+step's big-integer arithmetic is linear in the length of the number: all
+three keep a quadratic term, and doubling n at a few thousand groups
+costs 3x to 4x.  Rejecting an irregular number is the exception: naming
+the prime in ``IrregularDivisor``/``NonTerminating`` trial-divides the
+non-smooth part m by the integers coprime to 30, up to its smallest
+prime p, up to sqrt(m) when m is prime, or up to ``_PRIME_SEARCH_LIMIT``
+(10**6), whichever comes first: at most about 270 000 divisions, each
+linear in the length of m.  Past the limit the error names no prime
+(``.prime`` is None).
 
 Small values (a few groups, as in a tablet replay) cost bookkeeping more
 than arithmetic, so every result is built once, with no second

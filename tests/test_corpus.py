@@ -89,7 +89,8 @@ class TestLoad:
         assert err.value.line == 3
 
     @pytest.mark.parametrize("field,message", [
-        ("param A = 61", "line 3, column 11: '61': digit 61 out of range 0..59"),
+        ("param A = 61",
+         "line 3, column 11: '61': digit 61 out of range 0..59"),
         ("given V = 1,61 volume-sar",
          "line 3, column 11: '1,61': digit 61 out of range 0..59"),
         ("expect step half_B = 3;7x @ obv.26",

@@ -310,6 +310,38 @@ class TestRoundTrips:
         assert parse(render(value)) == value
 
 
+def digit_form(text):
+    """(sign, digits, offset) of a literal: offset counts the integer groups."""
+    sign = -1 if text.startswith("-") else 1
+    head, point, tail = text.removeprefix("-").partition(";")
+    int_groups = head.split(",")
+    frac_groups = tail.split(",") if point else []
+    digits = tuple(int(g) for g in int_groups + frac_groups)
+    return sign, digits, len(int_groups)
+
+
+class TestDigits:
+    @pytest.mark.parametrize("sign,digits,offset", [
+        (1, (), 1),             # empty
+        (1, (60,), 1),          # digit out of range
+        (1, (0, 5), 2),         # leading zero integer digit
+        (1, (1, 0), 1),         # trailing zero fraction digit
+        (1, (1, 2), 0),         # empty integer part
+        (-1, (0,), 1),          # negative zero
+        (2, (1,), 1),           # bad sign
+    ])
+    def test_invariants_enforced(self, sign, digits, offset):
+        """render never spells a value in a non-canonical digit form."""
+        value = sign * sum(
+            (d * Fraction(60) ** (offset - 1 - i) for i, d in enumerate(digits)),
+            Fraction(0),
+        )
+        text = render(value)
+        assert digit_form(text) != (sign, digits, offset), text
+        assert_canonical(value)
+        assert parse(text) == value
+
+
 # -- the bulk kernels against one-step-at-a-time references -------------------
 
 def naive_value(negative, int_digits, frac_digits):

@@ -16,12 +16,16 @@ confirm it; the flag is carried through to the report).
 
 ``PROCEDURES`` is the one table of procedures: each ``ProcedureSpec``
 gives a corpus name, the params and givens a record for it must carry,
-and ``run(problem) -> (trace, answers)``.  ``load_corpus`` looks a
-record's procedure up there and checks its fields against the entry;
-``replay`` calls the entry's ``run``, then compares every produced trace
-step against the expectations, label by label, with exact equality;
-answers are compared with their units.  A report passes only with zero
-mismatches and zero missing labels.  Adding a procedure is one
+``run(problem) -> (trace, answers)`` and ``verify(problem, answers)``.
+``load_corpus`` looks a record's procedure up there and checks its
+fields against the entry.  ``replay`` calls the entry's ``run``, then
+its ``verify``, which substitutes the answers back into the problem's
+equations with plain exact arithmetic, then compares every produced
+trace step against the expectations, label by label, with exact
+equality; answers are compared with their units.  A report passes only
+with zero mismatches and zero missing labels.  A failure in ``run`` or
+``verify`` is raised as a ``ProcedureError`` naming the problem and the
+stage (``verify`` for a failed substitution).  Adding a procedure is one
 ``ProcedureSpec`` entry plus a corpus record that uses it.
 """
 
@@ -38,6 +42,7 @@ from typing import Callable, Iterator
 from .errors import (
     BadLiteral,
     CorpusParseError,
+    EquationNotSatisfied,
     MalformedLiteral,
     ProcedureError,
     SexakitError,
@@ -45,6 +50,8 @@ from .errors import (
     UnknownProblem,
 )
 from .geometry import (
+    BREADTH_EXCESS,
+    BREADTH_EXCESS_SHARE,
     SMALL_CANAL_CONSTANT,
     CanalConstant,
     breadths_from_constraints,
@@ -59,7 +66,7 @@ from .procedures import (
     solve_quadratic_scribal,
 )
 from .sexa import Sexa, render
-from .units import Dimension, Quantity, parse_quantity
+from .units import KUS_PER_NINDAN, Dimension, Quantity, parse_quantity
 
 __all__ = [
     "PROCEDURES",
@@ -85,13 +92,18 @@ class ProcedureSpec:
 
     A record must carry every name in ``params`` and ``givens``.
     ``run(problem)`` returns the trace and the named answers; it raises
-    ``ProcedureError`` naming the stage that failed.
+    ``ProcedureError`` naming the stage that failed.  ``verify(problem,
+    answers)`` substitutes those answers back into the problem's stated
+    equations with plain exact arithmetic, never a scribal step, and
+    raises ``EquationNotSatisfied`` naming an equation that fails;
+    ``replay`` runs it as the ``verify`` stage.  Every procedure has one.
     """
 
     name: str
     params: tuple[str, ...]
     givens: tuple[str, ...]
     run: Callable[[TabletProblem], _Outcome]
+    verify: Callable[[TabletProblem, dict[str, Quantity]], None]
 
     @property
     def value(self) -> str:
@@ -350,6 +362,17 @@ def _stage(problem: TabletProblem, stage: str) -> Iterator[None]:
         raise ProcedureError(problem.id, stage, exc) from exc
 
 
+def _holds(equation: str, holds: bool) -> None:
+    if not holds:
+        raise EquationNotSatisfied(f"{equation} does not hold")
+
+
+def _breadth_rule(params: dict[str, Sexa]) -> tuple[Sexa, Sexa]:
+    """The record's excess and excess share, or the tablet's."""
+    return (params.get("excess", BREADTH_EXCESS),
+            params.get("excess_share", BREADTH_EXCESS_SHARE))
+
+
 def _quadratic(problem: TabletProblem) -> _Outcome:
     """SMT No. 24 p1: the upper breadth u by completing the square.
 
@@ -364,8 +387,8 @@ def _quadratic(problem: TabletProblem) -> _Outcome:
     if "V" not in givens:
         return trace, answers
     with _stage(problem, "breadths"):
-        v, z = breadths_from_constraints(u, **{
-            k: params[k] for k in ("excess", "excess_share") if k in params})
+        excess, share = _breadth_rule(params)
+        v, z = breadths_from_constraints(u, excess=excess, excess_share=share)
         trace.record("v", v)
         trace.record("z", z)
     with _stage(problem, "cross-section"):
@@ -384,6 +407,25 @@ def _quadratic(problem: TabletProblem) -> _Outcome:
     return trace, answers
 
 
+def _verify_quadratic(problem: TabletProblem,
+                      answers: dict[str, Quantity]) -> None:
+    """u solves the quadratic; with V, the canal built on u holds V."""
+    params = problem.parameters
+    u = answers["u"].magnitude
+    _holds("A*u^2 - B*u = C",
+           params["A"] * u * u - params["B"] * u == params["C"])
+    if "V" not in problem.givens:
+        return
+    excess, share = _breadth_rule(params)
+    v, z, section, length = (answers[k].magnitude
+                             for k in ("v", "z", "S", "x"))
+    _holds("v = u/2 + excess", v == u / 2 + excess)
+    _holds("z = 12*(excess + excess_share*(u - v))",
+           z == KUS_PER_NINDAN * (excess + share * (u - v)))
+    _holds("S = z*(u + v)/2", section == z * (u + v) / 2)
+    _holds("x*S = V", length * section == problem.givens["V"].magnitude)
+
+
 def _rect_canal_system(problem: TabletProblem) -> _Outcome:
     """SMT No. 24 p2: the holes x and y, and their depth z = depth_factor*d."""
     params = problem.parameters
@@ -397,32 +439,70 @@ def _rect_canal_system(problem: TabletProblem) -> _Outcome:
                        "z": Quantity(z, one)}
 
 
+def _verify_rect_canal_system(problem: TabletProblem,
+                              answers: dict[str, Quantity]) -> None:
+    """x, y and z satisfy the whole system.
+
+    Plain exact division, not the scribal reciprocal: 1/13 exists as a
+    rational though 13 has no finite base-60 reciprocal.
+    """
+    params = problem.parameters
+    x, y, z = (answers[k].magnitude for k in ("x", "y", "z"))
+    squares = x * x + y * y
+    _holds("x - y = diff", x - y == params["diff"])
+    _holds("z = depth_factor*diff",
+           z == params["depth_factor"] * params["diff"])
+    _holds("z(x^2 + y^2) + xy(z + 1) + (x^2 + y^2)/thirteenth = rhs",
+           z * squares + x * y * (z + 1) + squares / params["thirteenth"]
+           == params["rhs"])
+
+
+def _canal_constant(params: dict[str, Sexa]) -> Sexa:
+    """The record's canal constant z'/z, or the small canal's 0;48."""
+    return params.get("canal_constant", SMALL_CANAL_CONSTANT.ratio)
+
+
 def _labor_depth(problem: TabletProblem) -> _Outcome:
     """SMT No. 25: the canal depth from its reserved water and work norms."""
     params, givens = problem.parameters, problem.givens
     with _stage(problem, "labor-depth"):
-        constant = CanalConstant(params.get("canal_constant",
-                                            SMALL_CANAL_CONSTANT.ratio))
         depth, water_depth, trace = depth_from_labor(
             givens["total_water"], params["reach_length"],
-            givens["workers"], givens["width"], constant)
+            givens["workers"], givens["width"],
+            CanalConstant(_canal_constant(params)))
         return trace, {"z": depth, "z_water": water_depth}
+
+
+def _verify_labor_depth(problem: TabletProblem,
+                        answers: dict[str, Quantity]) -> None:
+    """The water depth is c*z, and it fills the reaches the gang dug."""
+    params, givens = problem.parameters, problem.givens
+    depth, water_depth = answers["z"].magnitude, answers["z_water"].magnitude
+    _holds("z' = c*z", water_depth == _canal_constant(params) * depth)
+    _holds("z'*width*reach_length*workers = total_water",
+           water_depth * givens["width"].magnitude * params["reach_length"]
+           * givens["workers"].magnitude == givens["total_water"].magnitude)
 
 
 #: Every procedure a corpus record can name, keyed by that name.
 PROCEDURES: dict[str, ProcedureSpec] = {spec.name: spec for spec in (
-    ProcedureSpec("quadratic", ("A", "B", "C"), (), _quadratic),
+    ProcedureSpec("quadratic", ("A", "B", "C"), (), _quadratic,
+                  _verify_quadratic),
     ProcedureSpec("rect-canal-system",
                   ("diff", "depth_factor", "thirteenth", "rhs"), (),
-                  _rect_canal_system),
+                  _rect_canal_system, _verify_rect_canal_system),
     ProcedureSpec("labor-depth", ("reach_length",),
-                  ("total_water", "workers", "width"), _labor_depth),
+                  ("total_water", "workers", "width"), _labor_depth,
+                  _verify_labor_depth),
 )}
 
 
 def replay(problem: TabletProblem) -> ReplayReport:
-    """Run a problem's procedure and check every expectation exactly."""
+    """Run a problem's procedure, substitute its answers back into the
+    problem's equations, and check every expectation exactly."""
     trace, answers = problem.procedure.run(problem)
+    with _stage(problem, "verify"):
+        problem.procedure.verify(problem, answers)
     rows: list[CheckRow] = []
     for expected in problem.expected_steps:
         if expected.label not in trace:

@@ -104,6 +104,12 @@ class IrregularDivisor(SexakitError):
             f"({_prime('prime factor', prime)}); it has no finite reciprocal")
 
 
+class UnwritableValue(SexakitError):
+    """A value has no base-60 literal, and its p/q text has a term longer
+    than the interpreter converts to decimal (``sys.get_int_max_str_digits``).
+    """
+
+
 class NoFiniteQuotient(SexakitError):
     """An exact quotient exists but cannot be written in base 60."""
 
@@ -132,8 +138,16 @@ class MalformedProblem(SexakitError):
     """Problem coefficients violate the procedure's invariants."""
 
 
+class EquationNotSatisfied(SexakitError):
+    """An answer substituted back into its problem's equation fails it."""
+
+
 class ProcedureError(SexakitError):
-    """A replayed procedure failed; carries the stage where it broke."""
+    """A replayed procedure failed; carries the stage where it broke.
+
+    ``corpus._stage`` is the only code that raises it: solvers raise the
+    plain error, and the stage wraps it once with the problem id.
+    """
 
     def __init__(self, problem_id: str, stage: str, cause: Exception):
         self.problem_id = problem_id

@@ -25,6 +25,8 @@ from .units import Dimension, KUS_PER_NINDAN, Quantity, qdiv, qmul
 __all__ = [
     "CanalConstant",
     "SMALL_CANAL_CONSTANT",
+    "BREADTH_EXCESS",
+    "BREADTH_EXCESS_SHARE",
     "trapezoid_cross_section",
     "prism_volume",
     "breadths_from_constraints",
@@ -52,6 +54,11 @@ class CanalConstant:
 
 #: The "constant of a small canal": z'/z = 0;48 = 4/5.
 SMALL_CANAL_CONSTANT = CanalConstant(Sexa(4, 5))
+
+#: The breadth rule of the first SMT No. 24 problem: "the excess" 0;30
+#: and its share 1/12 (``breadths_from_constraints``).
+BREADTH_EXCESS = Sexa(1, 2)
+BREADTH_EXCESS_SHARE = Sexa(1, 12)
 
 
 def _expect(q: Quantity, dim: Dimension, name: str) -> Quantity:
@@ -87,8 +94,8 @@ def prism_volume(section: Quantity, length: Quantity) -> Quantity:
 
 
 def breadths_from_constraints(upper: SexaLike, *,
-                              excess: SexaLike = Sexa(1, 2),
-                              excess_share: SexaLike = Sexa(1, 12),
+                              excess: SexaLike = BREADTH_EXCESS,
+                              excess_share: SexaLike = BREADTH_EXCESS_SHARE,
                               ) -> tuple[Sexa, Sexa]:
     """Lower breadth and depth tied to the upper breadth u.
 
@@ -102,8 +109,7 @@ def breadths_from_constraints(upper: SexaLike, *,
     v = u * Sexa(1, 2) + excess
     if u < v:
         raise InconsistentConstraint(
-            f"upper breadth {u.numerator}/{u.denominator} is smaller than "
-            f"the derived lower breadth {v.numerator}/{v.denominator}")
+            f"upper breadth {u} is smaller than the derived lower breadth {v}")
     z = KUS_PER_NINDAN * (excess + Sexa(excess_share) * (u - v))
     return v, z
 

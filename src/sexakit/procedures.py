@@ -31,11 +31,18 @@ from .errors import (
     MalformedProblem,
     NegativeRadicand,
     NoFiniteQuotient,
-    NonTerminating,
-    ProcedureError,
     ZeroDivisor,
 )
-from .sexa import Sexa, SexaLike, halve, reciprocal, render, sqrt_exact, square
+from .sexa import (
+    Sexa,
+    SexaLike,
+    _expansion_exponent,
+    halve,
+    reciprocal,
+    render,
+    sqrt_exact,
+    square,
+)
 from .units import Quantity
 
 __all__ = [
@@ -93,7 +100,7 @@ class StepTrace:
     def record(self, label: str, value: TraceValue,
                source: str = "derived") -> TraceValue:
         if label in self._index:
-            raise ProcedureError("trace", label, ValueError("duplicate label"))
+            raise MalformedProblem(f"duplicate step label {label!r}")
         self._index[label] = len(self.steps)
         self.steps.append(Step(label, value, source))
         return value
@@ -179,15 +186,11 @@ def solve_quadratic_scribal(p: QuadraticProblem) -> tuple[Sexa, StepTrace]:
     ac = trace.record("AC", p.a * p.c)
     radicand = half_b_sq + ac
     if radicand < 0:
-        raise NegativeRadicand(
-            f"(B/2)^2 + A*C = {radicand.numerator}/{radicand.denominator} < 0")
+        raise NegativeRadicand(f"(B/2)^2 + A*C = {radicand} < 0")
     trace.record("radicand", radicand)
     root = trace.record("root", sqrt_exact(radicand))
     root_plus = trace.record("root_plus", root + half_b)
     u = trace.record("u", root_plus * reciprocal(p.a))
-    if p.a * square(u) - p.b * u != p.c:
-        raise ProcedureError("quadratic", "verify",
-                             ArithmeticError("root does not satisfy equation"))
     return u, trace
 
 
@@ -198,9 +201,7 @@ def solve_sum_difference(p: SumDifferenceProblem) -> tuple[Sexa, Sexa, StepTrace
     half_diff_sq = trace.record("half_diff_sq", square(half_diff))
     radicand = half_diff_sq + p.prod
     if radicand < 0:
-        raise NegativeRadicand(
-            f"((x-y)/2)^2 + xy = "
-            f"{radicand.numerator}/{radicand.denominator} < 0")
+        raise NegativeRadicand(f"((x-y)/2)^2 + xy = {radicand} < 0")
     trace.record("radicand", radicand)
     half_sum = trace.record("half_sum", sqrt_exact(radicand))
     x = trace.record("x", half_sum + half_diff)
@@ -218,11 +219,8 @@ def divide_by_recognition(n: SexaLike, d: SexaLike) -> Sexa:
     if d == 0:
         raise ZeroDivisor("cannot recognize a quotient for divisor 0")
     q = n / d
-    try:
-        render(q)
-    except NonTerminating as exc:
-        raise NoFiniteQuotient(
-            f"{q.numerator}/{q.denominator} has no finite base-60 form") from exc
+    if _expansion_exponent(q.denominator)[0] != 1:
+        raise NoFiniteQuotient(f"{q} has no finite base-60 form")
     return q
 
 
@@ -242,16 +240,16 @@ def replay_smt24_p2(diff: SexaLike, depth_factor: SexaLike,
     as the scribe does (keeping the d^2 term unsimplified); read off xy
     by recognition; then recover x and y by the sum-difference method.
     Both d and depth_factor must be regular since their reciprocals are
-    taken separately, as on the tablet.  With d = 0 the depth is zero and
-    the equation yields xy directly, no reciprocal needed.
-
-    After solving, x, y and z are substituted back into the system and
-    exact satisfaction is asserted.
+    taken separately, as on the tablet, and ``thirteenth`` must be nonzero
+    since the system divides by it.  With d = 0 the depth is zero and the
+    equation yields xy directly, no reciprocal needed.
     """
     d = Sexa(diff)
     depth_factor = Sexa(depth_factor)
     thirteenth = Sexa(thirteenth)
     rhs = Sexa(rhs)
+    if thirteenth == 0:
+        raise MalformedProblem("thirteenth must be nonzero")
     trace = StepTrace()
 
     rhs_scaled = trace.record("rhs_scaled", rhs * thirteenth)
@@ -281,14 +279,4 @@ def replay_smt24_p2(diff: SexaLike, depth_factor: SexaLike,
 
     x, y, tail = solve_sum_difference(SumDifferenceProblem(d, xy))
     trace.extend(tail)
-
-    # Residual check: the returned values satisfy the original system.
-    # Plain exact division here, not the scribal reciprocal: 1/13 exists
-    # as a rational even though 13 has no finite base-60 reciprocal.
-    z = depth_factor * d
-    squares = square(x) + square(y)
-    residual = z * squares + x * y * (z + 1) + squares / thirteenth
-    if x - y != d or residual != rhs:
-        raise ProcedureError("rect-canal-system", "verify",
-                             ArithmeticError("solution fails the system"))
     return x, y, trace

@@ -61,6 +61,7 @@ from .errors import (
     NegativeRadicand,
     NonTerminating,
     NotAPerfectSquare,
+    UnwritableValue,
     ZeroInput,
 )
 
@@ -198,7 +199,10 @@ class Sexa(Fraction):
         try:
             return f"Sexa({render(self)!r})"
         except NonTerminating:
+            # Its message wrote p/q already, so str(int) accepts the terms.
             return f"Sexa({self.numerator}, {self.denominator})"
+        except UnwritableValue as exc:
+            return f"<Sexa: {exc}>"
 
 
 def _split_groups(part: str, text: str) -> list[int]:
@@ -334,14 +338,23 @@ def render(x: SexaLike, fraction_fallback: bool = False) -> str:
     """Canonical sexagesimal literal for x.
 
     Values without a finite expansion raise NonTerminating; pass
-    ``fraction_fallback=True`` to get "p/q" text instead.
+    ``fraction_fallback=True`` to get "p/q" text instead (or
+    ``UnwritableValue`` when a term is too long for that text).
     """
     f = _as_fraction(x)
     leftover, k = _expansion_exponent(f.denominator)
     if leftover != 1:
-        if fraction_fallback:
+        if not fraction_fallback:
+            raise NonTerminating(Sexa(f), _smallest_prime_factor(leftover))
+        try:
             return f"{f.numerator}/{f.denominator}"
-        raise NonTerminating(Sexa(f), _smallest_prime_factor(leftover))
+        except ValueError:      # str(int) refuses more than 4300 digits
+            bits = max(abs(f.numerator).bit_length(),
+                       f.denominator.bit_length())
+            raise UnwritableValue(
+                f"value has no finite base-60 expansion and a term of about "
+                f"{bits * 30103 // 100000 + 1} decimal digits, too long to "
+                f"write as p/q") from None
     return _digits(f, k)
 
 

@@ -1,0 +1,94 @@
+"""Arbitrary command lines end in an exit code, never in a traceback.
+
+``cli.main`` runs in process on argv drawn from every subcommand, its
+flags, sexagesimal literals of up to 4000 digit groups (so p/q terms
+past CPython's 4300-digit ``str(int)`` limit are in reach), expressions
+over them, and free text, plus three explicit command lines whose p/q
+text is past that limit.  Each example must return or exit with 0, 1,
+2 or 3, print no traceback, and finish inside the deadline.  No token
+names a file: ``--corpus`` is left out, so ``replay`` reads only the
+bundled corpus.
+"""
+
+import contextlib
+import io
+import os
+from datetime import timedelta
+from unittest import mock
+
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from sexakit.cli import main
+
+#: Each subcommand, its number of values, and its flags and words.
+COMMANDS = {
+    "eval": (["eval"], 1, ["--json", "--oracle", "--recognize"]),
+    "recip": (["recip"], 1, ["--json"]),
+    "sqrt": (["sqrt"], 1, ["--json"]),
+    "solve-quadratic": (["solve-quadratic"], 3, ["--json", "--trace"]),
+    "sum-diff": (["sum-diff"], 2, ["--json", "--trace"]),
+    "trapezoid": (["geom", "trapezoid"], 3, ["--json"]),
+    "volume": (["geom", "volume"], 2, ["--json"]),
+    "labor-depth": (["geom", "labor-depth"], 4,
+                    ["--json", "--trace", "--unit=sar60", "--unit=susi",
+                     "--constant=0;30", "--constant=7"]),
+    "replay": (["replay"], 0, ["--json", "--all", "smt24.p1", "nosuch"]),
+}
+
+
+@st.composite
+def literals(draw):
+    """A literal of 1 to 4000 digit groups; its integer part repeats a
+    short pattern, so a long literal costs few draws.  Many have 2500
+    groups or more: past 4400 decimal digits, beyond what ``str(int)``
+    converts by default."""
+    pattern = draw(st.lists(st.integers(0, 59), min_size=1, max_size=4))
+    count = draw(st.one_of(st.integers(1, 3), st.integers(1, 4000),
+                           st.integers(2500, 4000)))
+    text = ",".join(map(str, (pattern * count)[:count]))
+    if draw(st.booleans()):
+        fraction = draw(st.lists(st.integers(0, 59), min_size=1, max_size=3))
+        text += ";" + ",".join(map(str, fraction))
+    return ("-" if draw(st.booleans()) else "") + text
+
+
+expressions = st.builds("{} {} {}".format, literals(),
+                        st.sampled_from("+-*/"), literals())
+free_text = st.text(max_size=12).filter(lambda t: not t.startswith("--"))
+#: 3000 groups of 59, whose p/q terms pass the 4300-digit limit.
+NINES = ",".join(["59"] * 3000)
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand with its flags, then "--" and its values; or, now and
+    then, the subcommand followed by free tokens."""
+    words, arity, flags = COMMANDS[draw(st.sampled_from(sorted(COMMANDS)))]
+    if draw(st.integers(0, 9)) == 0:
+        return words + draw(st.lists(
+            st.one_of(expressions, st.sampled_from(flags), free_text),
+            max_size=5))
+    values = draw(st.lists(expressions if words == ["eval"] else literals(),
+                           min_size=arity, max_size=arity))
+    return words + draw(st.lists(st.sampled_from(flags), unique=True)) \
+        + ["--"] + values
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=10),
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(command_lines())
+@example(["eval", "--oracle", "--", f"1,{NINES} / 7"])
+@example(["eval", "--recognize", "--", f"1,{NINES} / 7"])
+@example(["solve-quadratic", "--", "1", "0", f"-{NINES}"])
+def test_any_argv_ends_in_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        os.environ.pop("SEXAKIT_CORPUS", None)
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # argparse: usage errors and --help
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

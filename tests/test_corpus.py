@@ -4,8 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+import sexakit.corpus
+import sexakit.geometry
+import sexakit.procedures
 from sexakit.corpus import (
     PROCEDURES,
+    ProcedureSpec,
     bundled_corpus_path,
     find_problem,
     load_corpus,
@@ -14,14 +18,17 @@ from sexakit.corpus import (
 from sexakit.errors import (
     BadLiteral,
     CorpusParseError,
+    EquationNotSatisfied,
     IrregularDivisor,
+    MalformedProblem,
     NotAPerfectSquare,
     ProcedureError,
     UnknownProblem,
     UnknownProcedure,
 )
-from sexakit.procedures import replay_smt24_p2
-from sexakit.sexa import Sexa, render
+from sexakit.geometry import SMALL_CANAL_CONSTANT, breadths_from_constraints
+from sexakit.procedures import replay_smt24_p2, solve_sum_difference
+from sexakit.sexa import Sexa, reciprocal, render
 from sexakit.units import Dimension, Quantity
 
 
@@ -362,6 +369,12 @@ class TestEnlargedCanalSystem:
         with pytest.raises(IrregularDivisor):
             replay_smt24_p2(Sexa(7), 12, 13, Sexa(10000))
 
+    @pytest.mark.parametrize("diff", [0, Sexa("0;10")])
+    def test_zero_thirteenth_rejected(self, diff):
+        # The system divides by it, so no x and y can satisfy it.
+        with pytest.raises(MalformedProblem, match="thirteenth"):
+            replay_smt24_p2(diff, 12, 0, 1)
+
     def test_non_square_radicand_rejected(self):
         # xy = 2 with diff = 0 makes the radicand 2
         with pytest.raises(NotAPerfectSquare):
@@ -431,3 +444,92 @@ class TestReplayRowText:
         assert [(r.label, r.status, r.expected, r.got) for r in rows] == [
             ("root", "MATCH", "35;37,30", "35;37,30"),
             ("u", "MISMATCH", "5;0,1 nindan", "5 nindan")]
+
+
+def _broken_breadths(upper, excess, excess_share):
+    """The breadth rule with the wrong share constant, 1/6 for 1/12."""
+    return breadths_from_constraints(upper, excess=excess,
+                                     excess_share=Sexa(1, 6))
+
+
+def _swapped_holes(problem):
+    """The sum-difference split with x and y exchanged."""
+    x, y, trace = solve_sum_difference(problem)
+    return y, x, trace
+
+
+def _constant_forgotten(value):
+    """The canal constant's reciprocal read as 1: z' taken for z."""
+    if value == SMALL_CANAL_CONSTANT.ratio:
+        return Sexa(1)
+    return reciprocal(value)
+
+
+#: One broken solver step per procedure: (where it is patched in, the
+#: broken step, the problem it breaks, the equation that catches it).
+#: Each still runs every scribal step to a finite value, so only the
+#: back-substitution can tell.
+MUTANTS = {
+    "quadratic-breadths": (
+        (sexakit.corpus, "breadths_from_constraints", _broken_breadths),
+        "smt24.p1", "z = 12*(excess + excess_share*(u - v))"),
+    "quadratic-root": (
+        (sexakit.procedures, "reciprocal", lambda x: 2 * reciprocal(x)),
+        "t.min", "A*u^2 - B*u = C"),
+    "rect-canal-system": (
+        (sexakit.procedures, "solve_sum_difference", _swapped_holes),
+        "smt24.p2", "x - y = diff"),
+    "labor-depth": (
+        (sexakit.geometry, "reciprocal", _constant_forgotten),
+        "smt25.p1", "z'*width*reach_length*workers = total_water"),
+}
+
+
+class TestVerify:
+    """``replay`` substitutes every answer back in, as the ``verify`` stage."""
+
+    def test_verify_is_required(self):
+        spec = PROCEDURES["quadratic"]
+        with pytest.raises(TypeError):
+            ProcedureSpec(spec.name, spec.params, spec.givens, spec.run)
+
+    def test_bundled_answers_satisfy_their_equations(self, bundled):
+        for problem in bundled:
+            _, answers = problem.procedure.run(problem)
+            problem.procedure.verify(problem, answers)
+
+    def test_every_answer_is_substituted(self, bundled):
+        # Nudge one answer at a time: verify must notice each one.
+        for problem in bundled:
+            _, answers = problem.procedure.run(problem)
+            for name, answer in answers.items():
+                wrong = dict(answers)
+                wrong[name] = Quantity(answer.magnitude + Sexa(1, 60),
+                                       answer.dim)
+                with pytest.raises(EquationNotSatisfied):
+                    problem.procedure.verify(problem, wrong)
+
+    @pytest.mark.parametrize("mutant", MUTANTS)
+    def test_broken_solver_step_fails_verify(self, tmp_path, monkeypatch,
+                                             bundled, mutant):
+        (module, name, broken), problem_id, equation = MUTANTS[mutant]
+        problems = bundled + load_corpus(write_corpus(
+            tmp_path, minimal_record("quadratic")))
+        problem = find_problem(problems, problem_id)
+        assert replay(problem).passed
+        monkeypatch.setattr(module, name, broken)
+        with pytest.raises(ProcedureError) as err:
+            replay(problem)
+        assert (err.value.problem_id, err.value.stage) == (problem_id,
+                                                           "verify")
+        assert isinstance(err.value.cause, EquationNotSatisfied)
+        assert str(err.value) == \
+            f"{problem_id}: verify: {equation} does not hold"
+
+    def test_zero_thirteenth_fails_its_stage(self, tmp_path):
+        path = write_corpus(tmp_path, minimal_record(
+            "rect-canal-system").replace("thirteenth = 13", "thirteenth = 0"))
+        with pytest.raises(ProcedureError) as err:
+            replay(load_corpus(path)[0])
+        assert err.value.stage == "rect-canal-system"
+        assert isinstance(err.value.cause, MalformedProblem)

@@ -135,7 +135,9 @@ class TestBreadthConstraints:
         assert breadths_from_constraints(Sexa(7)) == (v, z)
 
     def test_inconsistent_when_upper_too_small(self):
-        with pytest.raises(InconsistentConstraint):
+        with pytest.raises(InconsistentConstraint, match=(
+                "^upper breadth 0;30 is smaller than the derived lower "
+                "breadth 0;45$")):
             breadths_from_constraints(Sexa("0;30"))
 
     def test_custom_constants(self):

@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+import sexakit.procedures
 from sexakit.errors import (
     IrregularDivisor,
     MalformedProblem,
     NegativeRadicand,
     NoFiniteQuotient,
     NotAPerfectSquare,
-    ProcedureError,
     ZeroDivisor,
 )
 from sexakit.procedures import (
@@ -96,8 +96,9 @@ class TestQuadratic:
             solve_quadratic_scribal(QuadraticProblem(1, 0, 2))
 
     def test_radicand_must_be_nonnegative(self):
-        with pytest.raises(NegativeRadicand):
-            solve_quadratic_scribal(QuadraticProblem(1, 0, -1))
+        with pytest.raises(NegativeRadicand,
+                           match=r"^\(B/2\)\^2 \+ A\*C = -0;30 < 0$"):
+            solve_quadratic_scribal(QuadraticProblem(1, 0, Sexa("-0;30")))
 
     def test_randomized_against_oracle(self):
         rng = random.Random(2401)
@@ -153,8 +154,9 @@ class TestSumDifference:
     def test_radicand_errors(self):
         with pytest.raises(NotAPerfectSquare):
             solve_sum_difference(SumDifferenceProblem(0, 2))
-        with pytest.raises(NegativeRadicand):
-            solve_sum_difference(SumDifferenceProblem(0, -1))
+        with pytest.raises(NegativeRadicand,
+                           match=r"^\(\(x-y\)/2\)\^2 \+ xy = -0;30 < 0$"):
+            solve_sum_difference(SumDifferenceProblem(0, Sexa("-0;30")))
 
 
 class TestDivideByRecognition:
@@ -185,8 +187,18 @@ class TestDivideByRecognition:
         with pytest.raises(NoFiniteQuotient):
             divide_by_recognition(1, 7)
         # ... even though both operands terminate on their own
-        with pytest.raises(NoFiniteQuotient):
+        with pytest.raises(NoFiniteQuotient,
+                           match="^1/21 has no finite base-60 form$"):
             divide_by_recognition(Sexa("0;30"), Sexa("10;30"))
+
+    def test_termination_is_decided_without_rendering(self, monkeypatch):
+        # Writing a quotient of thousands of groups costs milliseconds;
+        # its denominator alone decides whether it terminates.
+        monkeypatch.setattr(sexakit.procedures, "render", None)
+        n = Sexa(60 ** 6500 - 1)
+        assert divide_by_recognition(n, 2) * 2 == n
+        with pytest.raises(NoFiniteQuotient):
+            divide_by_recognition(1, 7)
 
 
 class TestIdentity:
@@ -218,7 +230,7 @@ class TestStepTrace:
     def test_duplicate_labels_rejected(self):
         trace = StepTrace()
         trace.record("a", Sexa(1))
-        with pytest.raises(ProcedureError):
+        with pytest.raises(MalformedProblem, match="duplicate step label 'a'"):
             trace.record("a", Sexa(2))
 
     def test_lookup_and_membership(self):
@@ -234,7 +246,7 @@ class TestStepTrace:
         head.record("a", Sexa(1))
         tail.record("b", Sexa(2))
         tail.record("a", Sexa(3))
-        with pytest.raises(ProcedureError):
+        with pytest.raises(MalformedProblem):
             head.extend(tail)
         assert head.labels() == ["a", "b"]
         assert head["b"] == 2 and head["a"] == 1
@@ -250,7 +262,7 @@ class TestStepTrace:
         rebuilt = StepTrace(list(built.steps))
         assert rebuilt == built and repr(rebuilt) == repr(built)
         assert rebuilt["s1234"] == 1234
-        with pytest.raises(ProcedureError):
+        with pytest.raises(MalformedProblem):
             rebuilt.record("s0", Sexa(0))
         assert "_index" not in repr(StepTrace())
 

@@ -17,6 +17,7 @@ from sexakit.errors import (
     NegativeRadicand,
     NonTerminating,
     NotAPerfectSquare,
+    UnwritableValue,
     ZeroInput,
 )
 from sexakit.sexa import (
@@ -110,6 +111,19 @@ class TestRender:
     def test_fraction_fallback(self):
         assert render(Fraction(1, 7), fraction_fallback=True) == "1/7"
         assert render(Fraction(1, 2), fraction_fallback=True) == "0;30"
+
+    def test_too_long_fraction_is_an_error_not_a_crash(self):
+        # 60**3000 has 5335 decimal digits, past str(int)'s 4300 default.
+        huge = Sexa(60 ** 3000 + 1, 7)
+        message = ("value has no finite base-60 expansion and a term of "
+                   "about 5335 decimal digits, too long to write as p/q")
+        for write in (str, lambda x: render(x, fraction_fallback=True)):
+            with pytest.raises(UnwritableValue) as err:
+                write(huge)
+            assert str(err.value) == message
+        assert repr(huge) == f"<Sexa: {message}>"
+        # A huge value with a base-60 literal still writes it.
+        assert render(Sexa(60 ** 3000 + 1)) == "1," + "0," * 2999 + "1"
 
     def test_no_radix_point_for_integers(self):
         assert ";" not in render(Sexa("1,0"))

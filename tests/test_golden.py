@@ -29,6 +29,8 @@ LABOR_DEPTH = ["geom", "labor-depth", "6", "5", "40,0", "0;30",
                "--unit", "sar60"]
 STAGES = ["solve-quadratic", "breadths", "cross-section", "length",
           "rect-canal-system", "labor-depth"]
+#: 3000 groups of 59: as p/q, terms past CPython's 4300-digit str(int) limit.
+NINES = ",".join(["59"] * 3000)
 
 CASES = {
     "replay-all": ["replay", "--all"],
@@ -59,6 +61,10 @@ CASES = {
     "sqrt-not-square": ["sqrt", "2"],
     "replay-unknown-id": ["replay", "nosuch"],
     "replay-no-id": ["replay"],
+    "eval-oracle-huge": ["eval", f"1,{NINES} / 7", "--oracle"],
+    "eval-recognize-huge": ["eval", f"1,{NINES} / 7", "--recognize"],
+    "solve-quadratic-huge-negative": ["solve-quadratic", "--", "1", "0",
+                                      f"-{NINES}"],
     **{f"stage-{stage}": ["replay", "--all", "--corpus",
                           str(GOLDEN / f"stage-{stage}.corpus")]
        for stage in STAGES},

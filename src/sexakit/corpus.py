@@ -362,8 +362,8 @@ def _stage(problem: TabletProblem, stage: str) -> Iterator[None]:
         raise ProcedureError(problem.id, stage, exc) from exc
 
 
-def _holds(equation: str, holds: bool) -> None:
-    if not holds:
+def _holds(equation: str, ok: bool) -> None:
+    if not ok:
         raise EquationNotSatisfied(f"{equation} does not hold")
 
 

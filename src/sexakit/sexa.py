@@ -349,6 +349,7 @@ def render(x: SexaLike, fraction_fallback: bool = False) -> str:
         try:
             return f"{f.numerator}/{f.denominator}"
         except ValueError:      # str(int) refuses more than 4300 digits
+            # bits * log10(2) decimal digits, log10(2) = 0.30103...
             bits = max(abs(f.numerator).bit_length(),
                        f.denominator.bit_length())
             raise UnwritableValue(

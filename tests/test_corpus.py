@@ -493,11 +493,6 @@ class TestVerify:
         with pytest.raises(TypeError):
             ProcedureSpec(spec.name, spec.params, spec.givens, spec.run)
 
-    def test_bundled_answers_satisfy_their_equations(self, bundled):
-        for problem in bundled:
-            _, answers = problem.procedure.run(problem)
-            problem.procedure.verify(problem, answers)
-
     def test_every_answer_is_substituted(self, bundled):
         # Nudge one answer at a time: verify must notice each one.
         for problem in bundled:
@@ -525,11 +520,3 @@ class TestVerify:
         assert isinstance(err.value.cause, EquationNotSatisfied)
         assert str(err.value) == \
             f"{problem_id}: verify: {equation} does not hold"
-
-    def test_zero_thirteenth_fails_its_stage(self, tmp_path):
-        path = write_corpus(tmp_path, minimal_record(
-            "rect-canal-system").replace("thirteenth = 13", "thirteenth = 0"))
-        with pytest.raises(ProcedureError) as err:
-            replay(load_corpus(path)[0])
-        assert err.value.stage == "rect-canal-system"
-        assert isinstance(err.value.cause, MalformedProblem)

@@ -34,9 +34,10 @@ def loaded(tmp_path_factory):
     return problems
 
 
-def report_rows(problem):
+def rows(report):
+    """Report rows in the generator's (status, label, expected, got) form."""
     return [(r.status, r.label if r.kind == "step" else f"answer:{r.label}",
-             r.expected, r.got) for r in replay(problem).rows]
+             r.expected, r.got) for r in report.rows]
 
 
 def test_every_procedure_is_generated():
@@ -45,8 +46,9 @@ def test_every_procedure_is_generated():
 
 def test_report_rows_match_the_generator(loaded):
     for want, problem in zip(PROBLEMS, loaded):
-        assert report_rows(problem) == want.rows(), want.id
-        assert replay(problem).passed == want.passes()
+        report = replay(problem)
+        assert rows(report) == want.rows(), want.id
+        assert report.passed == want.passes(), want.id
 
 
 def test_each_mutated_problem_gives_one_mismatch(loaded):
@@ -54,7 +56,7 @@ def test_each_mutated_problem_gives_one_mismatch(loaded):
                if want.mutated is not None]
     assert len(mutated) == round(len(PROBLEMS) * gen.MUTATED_SHARE)
     for want, problem in mutated:
-        statuses = [row[0] for row in report_rows(problem)]
+        statuses = [row.status for row in replay(problem).rows]
         assert statuses.count("MISMATCH") == 1, want.id
         assert statuses.count("MISSING") == 0, want.id
 

@@ -11,8 +11,10 @@ with ``tests/golden/<case>.txt``.  The JSON cases pin key order too,
 which a comparison through ``json.loads`` would not.  The
 ``stage-<stage>`` cases replay ``tests/golden/stage-<stage>.corpus``, a
 one-problem corpus that fails in that ``ProcedureError`` stage, to pin
-the error text.  A golden file changes only when the output is meant
-to change.
+the error text.  ``replay-noncanonical.corpus`` spells its values in
+ways the grammar allows but ``render`` does not write, with MISSING and
+MISMATCH rows of both kinds, to pin the canonical report text.  A
+golden file changes only when the output is meant to change.
 """
 
 from pathlib import Path
@@ -29,6 +31,8 @@ LABOR_DEPTH = ["geom", "labor-depth", "6", "5", "40,0", "0;30",
                "--unit", "sar60"]
 STAGES = ["solve-quadratic", "breadths", "cross-section", "length",
           "rect-canal-system", "labor-depth"]
+NONCANONICAL = ["replay", "--all", "--corpus",
+                str(GOLDEN / "replay-noncanonical.corpus")]
 #: 3000 groups of 59: as p/q, terms past CPython's 4300-digit str(int) limit.
 NINES = ",".join(["59"] * 3000)
 
@@ -61,6 +65,8 @@ CASES = {
     "sqrt-not-square": ["sqrt", "2"],
     "replay-unknown-id": ["replay", "nosuch"],
     "replay-no-id": ["replay"],
+    "replay-noncanonical": NONCANONICAL,
+    "replay-noncanonical-json": NONCANONICAL + ["--json"],
     "eval-oracle-huge": ["eval", f"1,{NINES} / 7", "--oracle"],
     "eval-recognize-huge": ["eval", f"1,{NINES} / 7", "--recognize"],
     "solve-quadratic-huge-negative": ["solve-quadratic", "--", "1", "0",

@@ -71,11 +71,22 @@ def _prime(noun: str, prime: int | None) -> str:
     return f"a {noun} above {_PRIME_SEARCH_LIMIT}"
 
 
+def _written(value) -> str:
+    # str() writes a value with no base-60 literal as p/q, and refuses a
+    # term past the str(int) limit: write such a value by its size, so
+    # that the error being built keeps its own type.
+    try:
+        return f"{value}"
+    except UnwritableValue as exc:
+        return f"a value with a term of about {exc.digits} decimal digits"
+
+
 class NonTerminating(SexakitError):
     """Value has no finite base-60 expansion.
 
     ``value`` is a ``Sexa``; the message writes it as ``str`` does, in
-    base 60 when it terminates and as p/q otherwise.  ``prime`` is the
+    base 60 when it terminates and as p/q otherwise, or by its size when
+    a p/q term is too long to write.  ``prime`` is the
     smallest prime other than 2, 3, 5 in the denominator, or None when
     that prime lies above the bounded search.
     """
@@ -84,7 +95,7 @@ class NonTerminating(SexakitError):
         self.value = value
         self.prime = prime
         super().__init__(
-            f"{value} has no finite base-60 expansion "
+            f"{_written(value)} has no finite base-60 expansion "
             f"(denominator contains {_prime('prime', prime)})")
 
 
@@ -100,18 +111,33 @@ class IrregularDivisor(SexakitError):
         self.value = value
         self.prime = prime
         super().__init__(
-            f"{value} is not a regular number "
+            f"{_written(value)} is not a regular number "
             f"({_prime('prime factor', prime)}); it has no finite reciprocal")
 
 
 class UnwritableValue(SexakitError):
     """A value has no base-60 literal, and its p/q text has a term longer
     than the interpreter converts to decimal (``sys.get_int_max_str_digits``).
+
+    ``digits`` is the longer term's length in decimal digits, about.
     """
+
+    def __init__(self, digits: int):
+        self.digits = digits
+        super().__init__(
+            f"value has no finite base-60 expansion and a term of about "
+            f"{digits} decimal digits, too long to write as p/q")
 
 
 class NoFiniteQuotient(SexakitError):
-    """An exact quotient exists but cannot be written in base 60."""
+    """An exact quotient exists but cannot be written in base 60.
+
+    ``value`` is the quotient, written as in ``NonTerminating``.
+    """
+
+    def __init__(self, value):
+        self.value = value
+        super().__init__(f"{_written(value)} has no finite base-60 form")
 
 
 class NotAPerfectSquare(SexakitError):

@@ -220,7 +220,7 @@ def divide_by_recognition(n: SexaLike, d: SexaLike) -> Sexa:
         raise ZeroDivisor("cannot recognize a quotient for divisor 0")
     q = n / d
     if _expansion_exponent(q.denominator)[0] != 1:
-        raise NoFiniteQuotient(f"{q} has no finite base-60 form")
+        raise NoFiniteQuotient(q)
     return q
 
 

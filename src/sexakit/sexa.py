@@ -197,12 +197,12 @@ class Sexa(Fraction):
 
     def __repr__(self) -> str:
         try:
-            return f"Sexa({render(self)!r})"
-        except NonTerminating:
-            # Its message wrote p/q already, so str(int) accepts the terms.
-            return f"Sexa({self.numerator}, {self.denominator})"
+            text = render(self, fraction_fallback=True)
         except UnwritableValue as exc:
             return f"<Sexa: {exc}>"
+        if "/" in text:                 # p/q: no base-60 literal
+            return f"Sexa({text.replace('/', ', ')})"
+        return f"Sexa({text!r})"
 
 
 def _split_groups(part: str, text: str) -> list[int]:
@@ -352,10 +352,7 @@ def render(x: SexaLike, fraction_fallback: bool = False) -> str:
             # bits * log10(2) decimal digits, log10(2) = 0.30103...
             bits = max(abs(f.numerator).bit_length(),
                        f.denominator.bit_length())
-            raise UnwritableValue(
-                f"value has no finite base-60 expansion and a term of about "
-                f"{bits * 30103 // 100000 + 1} decimal digits, too long to "
-                f"write as p/q") from None
+            raise UnwritableValue(bits * 30103 // 100000 + 1) from None
     return _digits(f, k)
 
 

@@ -191,6 +191,14 @@ class TestDivideByRecognition:
                            match="^1/21 has no finite base-60 form$"):
             divide_by_recognition(Sexa("0;30"), Sexa("10;30"))
 
+    def test_unwritable_quotient_keeps_its_error_type(self):
+        # 60**3000/7 - 1 has a numerator past the str(int) limit.
+        with pytest.raises(NoFiniteQuotient, match=(
+                "^a value with a term of about 5335 decimal digits "
+                "has no finite base-60 form$")) as err:
+            divide_by_recognition(Sexa(60 ** 3000 - 7), 7)
+        assert err.value.value == Sexa(60 ** 3000 - 7, 7)
+
     def test_termination_is_decided_without_rendering(self, monkeypatch):
         # Writing a quotient of thousands of groups costs milliseconds;
         # its denominator alone decides whether it terminates.

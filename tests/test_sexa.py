@@ -551,6 +551,21 @@ class TestBoundedPrimeSearch:
             call()
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda: render(Sexa(60 ** 3000 + 1, 7)), NonTerminating,
+         "a value with a term of about 5335 decimal digits has no finite "
+         "base-60 expansion (denominator contains prime 7)"),
+        (lambda: reciprocal(Sexa(7 * 2 ** 20000, 11)), IrregularDivisor,
+         "a value with a term of about 6022 decimal digits is not a "
+         "regular number (prime factor 7); it has no finite reciprocal"),
+    ])
+    def test_message_names_an_unwritable_value_by_its_size(
+            self, call, error, message):
+        # Its p/q text passes the str(int) limit; the error keeps its type.
+        with pytest.raises(error) as err:
+            call()
+        assert str(err.value) == message
+
 
 # -- values built without a second normalization ------------------------------
 

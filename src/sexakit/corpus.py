@@ -22,7 +22,10 @@ fields against the entry.  ``replay`` calls the entry's ``run``, then
 its ``verify``, which substitutes the answers back into the problem's
 equations with plain exact arithmetic, then compares every produced
 trace step against the expectations, label by label, with exact
-equality; answers are compared with their units.  A report passes only
+equality; answers are compared with their units.  Report text for an
+expectation is settled once, at load: the corpus literal itself when it
+is already canonical, else its rendering; ``replay`` writes only the
+values it computed that mismatch.  A report passes only
 with zero mismatches and zero missing labels.  A failure in ``run`` or
 ``verify`` is raised as a ``ProcedureError`` naming the problem and the
 stage (``verify`` for a failed substitution).  Adding a procedure is one
@@ -33,8 +36,9 @@ from __future__ import annotations
 
 import os
 import re
+import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterator
@@ -65,7 +69,7 @@ from .procedures import (
     replay_smt24_p2,
     solve_quadratic_scribal,
 )
-from .sexa import Sexa, render
+from .sexa import _CANONICAL, Sexa, parse, render
 from .units import KUS_PER_NINDAN, Dimension, Quantity, parse_quantity
 
 __all__ = [
@@ -111,22 +115,45 @@ class ProcedureSpec:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpectedStep:
+    """A step value the tablet states, at its line.
+
+    ``text`` is the value as the report prints it, ``render(value)``: the
+    corpus literal itself when it is canonical.  It is settled once, when
+    the step is built, and takes no part in equality.
+    """
+
     label: str
     value: Sexa
     line: str
     uncertain: bool = False
+    text: str = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.text is None:
+            object.__setattr__(self, "text", render(self.value))
 
 
 @dataclass(frozen=True)
 class TabletProblem:
+    """A corpus record.  ``answer_texts`` holds each expected answer as the
+    report prints it, ``str(quantity)``, settled as ``ExpectedStep.text``
+    is."""
+
     id: str
     procedure: ProcedureSpec
     givens: dict[str, Quantity]
     parameters: dict[str, Sexa]
     expected_steps: tuple[ExpectedStep, ...]
     expected_answers: dict[str, Quantity]
+    answer_texts: dict[str, str] = field(default=None, repr=False,
+                                         compare=False)
+
+    def __post_init__(self):
+        if self.answer_texts is None:
+            object.__setattr__(self, "answer_texts", {
+                name: str(q) for name, q in self.expected_answers.items()})
 
 
 @dataclass(frozen=True)
@@ -195,6 +222,7 @@ class _ProblemBuilder:
         self.parameters: dict[str, Sexa] = {}
         self.steps: dict[str, ExpectedStep] = {}
         self.answers: dict[str, Quantity] = {}
+        self.answer_texts: dict[str, str] = {}
 
     def finish(self) -> TabletProblem:
         if self.procedure is None:
@@ -211,7 +239,7 @@ class _ProblemBuilder:
             id=self.id, procedure=self.procedure, givens=self.givens,
             parameters=self.parameters,
             expected_steps=tuple(self.steps.values()),
-            expected_answers=self.answers)
+            expected_answers=self.answers, answer_texts=self.answer_texts)
 
 
 def _check_new(table: dict, key: str, what: str, line_no: int) -> None:
@@ -227,6 +255,16 @@ def _parse_field(parse: Callable[[str], Sexa | Quantity], text: str,
     except MalformedLiteral as exc:
         col = line.find(text) + 1
         raise BadLiteral(str(exc), line=line_no, column=col or None) from exc
+
+
+def _answer_text(text: str, quantity: Quantity) -> str:
+    """``str(quantity)`` for the answer text "<literal> <unit>": the text
+    itself when its literal is canonical and its unit is the dimension's
+    own spelling (not sar60 or susi)."""
+    literal, unit = text.split()
+    if unit == quantity.dim.value and _CANONICAL.fullmatch(literal):
+        return f"{literal} {unit}"
+    return str(quantity)
 
 
 def load_corpus(path: str | os.PathLike | None = None) -> list[TabletProblem]:
@@ -306,7 +344,7 @@ def load_corpus(path: str | os.PathLike | None = None) -> list[TabletProblem]:
                 raise CorpusParseError("param needs '<name> = <literal>'",
                                        line=line_no)
             _check_new(builder.parameters, name, "param", line_no)
-            builder.parameters[name] = _parse_field(Sexa, value, line_no, raw)
+            builder.parameters[name] = _parse_field(parse, value, line_no, raw)
         else:  # expect
             sub, _, tail = rest.partition(" ")
             tail = tail.strip()
@@ -320,11 +358,13 @@ def load_corpus(path: str | os.PathLike | None = None) -> list[TabletProblem]:
                         "expect step needs '<label> = <literal> @ <line-tag>'",
                         line=line_no)
                 _check_new(builder.steps, name, "step label", line_no)
+                step = _parse_field(parse, literal, line_no, raw)
                 builder.steps[name] = ExpectedStep(
-                    label=name,
-                    value=_parse_field(Sexa, literal, line_no, raw),
-                    line=tag.rstrip("?"),
-                    uncertain=tag.endswith("?"))
+                    label=sys.intern(name), value=step,
+                    line=sys.intern(tag.rstrip("?")),
+                    uncertain=tag.endswith("?"),
+                    text=(literal if _CANONICAL.fullmatch(literal)
+                          else render(step)))
             elif sub == "answer":
                 name, _, value = tail.partition("=")
                 name, value = name.strip(), value.strip()
@@ -333,8 +373,10 @@ def load_corpus(path: str | os.PathLike | None = None) -> list[TabletProblem]:
                         "expect answer needs '<name> = <literal> <unit>'",
                         line=line_no)
                 _check_new(builder.answers, name, "answer", line_no)
-                builder.answers[name] = _parse_field(
-                    parse_quantity, value, line_no, raw)
+                name = sys.intern(name)
+                answer = _parse_field(parse_quantity, value, line_no, raw)
+                builder.answers[name] = answer
+                builder.answer_texts[name] = _answer_text(value, answer)
             else:
                 raise CorpusParseError(
                     f"expect must be 'step' or 'answer', got {sub!r}",
@@ -503,17 +545,17 @@ def replay(problem: TabletProblem) -> ReplayReport:
     trace, answers = problem.procedure.run(problem)
     with _stage(problem, "verify"):
         problem.procedure.verify(problem, answers)
+    # Exactly equal values print identically: only a MISMATCH writes the
+    # value got; every other row prints the expectation's settled text.
     rows: list[CheckRow] = []
     for expected in problem.expected_steps:
+        text = expected.text
         if expected.label not in trace:
-            rows.append(CheckRow("step", expected.label, "MISSING",
-                                 render(expected.value), None,
-                                 expected.line, expected.uncertain))
+            rows.append(CheckRow("step", expected.label, "MISSING", text,
+                                 None, expected.line, expected.uncertain))
             continue
         value = trace[expected.label]
         got = value.magnitude if isinstance(value, Quantity) else value
-        # Exactly equal values render identically: a MATCH renders once.
-        text = render(expected.value)
         if got == expected.value:
             status, got_text = "MATCH", text
         else:
@@ -521,12 +563,11 @@ def replay(problem: TabletProblem) -> ReplayReport:
         rows.append(CheckRow("step", expected.label, status, text, got_text,
                              expected.line, expected.uncertain))
     for name, expected_q in problem.expected_answers.items():
+        text = problem.answer_texts[name]
         got_q = answers.get(name)
         if got_q is None:
-            rows.append(CheckRow("answer", name, "MISSING",
-                                 str(expected_q), None))
+            rows.append(CheckRow("answer", name, "MISSING", text, None))
             continue
-        text = str(expected_q)
         if got_q == expected_q:
             status, got_text = "MATCH", text
         else:

@@ -21,11 +21,16 @@ implemented as multiplication by a reciprocal) insist on them.
 Everything here is immutable and pure; values are safe to share between
 threads.
 
-Cost model, for a value of n digit groups.  ``parse`` folds every group
-into one integer.  ``render``, the one path from a value to its literal
-(``str``, ``format`` and ``repr`` call it), peels five digits per
+Cost model, for a value of n digit groups.  ``parse`` checks the whole
+literal with one compiled regex match and folds every group into one
+integer; only a literal the regex refuses is walked group by group, to
+name its first fault.  ``render``, the one path from a value to its
+literal (``str``, ``format`` and ``repr`` call it), peels five digits per
 big-integer division, then joins the integer and the fractional groups
-into the text once each.  Stripping 2, 3 and 5 (``is_regular``,
+into the text once each.  Its output language is one regex too,
+``_CANONICAL``: a literal that matches it is already the text ``render``
+would write for its value, so a caller holding such a literal (a corpus
+expectation) can print it without rendering.  Stripping 2, 3 and 5 (``is_regular``,
 ``reciprocal``) takes one shift and O(log e) divisions per prime power
 p**e.  So the Python-level work is at most one step per group, but each
 step's big-integer arithmetic is linear in the length of the number: all
@@ -52,6 +57,7 @@ use a ``Fraction`` argument as it is.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -205,22 +211,42 @@ class Sexa(Fraction):
         return f"Sexa({text!r})"
 
 
-def _split_groups(part: str, text: str) -> list[int]:
-    groups = []
-    for raw in part.split(","):
+#: One digit group as ``parse`` reads it: 0..59 in one or two ASCII digits.
+_GROUP = "[0-5]?[0-9]"
+#: The grammar ``parse`` accepts, after ``strip``: sign, integer groups,
+#: and the fractional groups after ";" or ":".
+_LITERAL = re.compile(
+    rf"(-?)({_GROUP}(?:,{_GROUP})*)(?:[;:]({_GROUP}(?:,{_GROUP})*))?")
+#: A digit as ``render`` writes it (no leading zero), and a nonzero one.
+_DIGIT, _NONZERO = "[1-5]?[0-9]", "(?:[1-5][0-9]|[1-9])"
+#: The language ``render`` writes: no ":", no leading zero group or digit,
+#: no trailing fractional zero, no "-0".  For a literal it matches,
+#: ``render(parse(t)) == t``.
+_CANONICAL = re.compile(
+    rf"0|-?(?:{_NONZERO}(?:,{_DIGIT})*|0(?=;))(?:;(?:{_DIGIT},)*{_NONZERO})?")
+
+
+def _malformed(text: str, s: str) -> MalformedLiteral:
+    """The error for a stripped literal s that ``_LITERAL`` refused: the
+    first fault met walking its sign, radix points and digit groups."""
+    s = s.removeprefix("-")
+    if not s:
+        return MalformedLiteral(f"{text!r}: empty literal")
+    head, sep, tail = s.replace(":", ";").partition(";")
+    if ";" in tail:
+        return MalformedLiteral(f"{text!r}: more than one radix point")
+    for raw in (head + "," + tail if sep else head).split(","):
         if raw == "":
-            raise MalformedLiteral(f"{text!r}: empty digit group")
+            return MalformedLiteral(f"{text!r}: empty digit group")
         if not raw.isascii() or not raw.isdigit():
-            raise MalformedLiteral(f"{text!r}: bad digit group {raw!r}")
+            return MalformedLiteral(f"{text!r}: bad digit group {raw!r}")
         if len(raw) > 2:
-            raise MalformedLiteral(
+            return MalformedLiteral(
                 f"{text!r}: digit group {raw!r} is longer than two digits")
-        value = int(raw)
-        if value > 59:
-            raise MalformedLiteral(
-                f"{text!r}: digit {value} out of range 0..59")
-        groups.append(value)
-    return groups
+        if int(raw) > 59:
+            return MalformedLiteral(
+                f"{text!r}: digit {int(raw)} out of range 0..59")
+    return MalformedLiteral(f"{text!r}: not a sexagesimal literal")
 
 
 def parse(text: str) -> Sexa:
@@ -232,23 +258,18 @@ def parse(text: str) -> Sexa:
     if not isinstance(text, str):
         raise MalformedLiteral(f"expected a string, got {type(text).__name__}")
     s = text.strip()
-    negative = s.startswith("-")
-    if negative:
-        s = s[1:]
-    if not s:
-        raise MalformedLiteral(f"{text!r}: empty literal")
-    s = s.replace(":", ";")
-    head, sep, tail = s.partition(";")
-    if ";" in tail:
-        raise MalformedLiteral(f"{text!r}: more than one radix point")
-    int_groups = _split_groups(head, text)
-    frac_groups = _split_groups(tail, text) if sep else []
+    m = _LITERAL.fullmatch(s)
+    if m is None:
+        raise _malformed(text, s)
+    sign, head, tail = m.groups()
     value = 0
-    for d in int_groups + frac_groups:
+    for d in map(int, (head + "," + tail if tail else head).split(",")):
         value = value * 60 + d
-    if negative:
+    if sign:
         value = -value
-    scale = 60 ** len(frac_groups)
+    if not tail:
+        return _reduced(value, 1)
+    scale = 60 ** (tail.count(",") + 1)
     g = math.gcd(value, scale)
     return _reduced(value // g, scale // g)
 

@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import DimensionMismatch, MalformedLiteral, ZeroDivisor
-from .sexa import Sexa, SexaLike, reciprocal, render
+from .sexa import Sexa, SexaLike, parse, reciprocal, render
 
 __all__ = [
     "Dimension",
@@ -164,7 +164,7 @@ def parse_quantity(text: str) -> Quantity:
         raise MalformedLiteral(
             f"{text!r}: expected '<literal> <unit>'")
     literal, unit = parts
-    magnitude = Sexa(literal)
+    magnitude = parse(literal)
     if unit in ("sar60", "susi"):
         return sar_to_volume_sar(magnitude, unit)
     dim = _UNIT_TO_DIM.get(unit)

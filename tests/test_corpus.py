@@ -1,5 +1,6 @@
 """Corpus loading, replay verification, and the enlarged-canal system."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,10 @@ import pytest
 import sexakit.corpus
 import sexakit.geometry
 import sexakit.procedures
+import sexakit.units
 from sexakit.corpus import (
     PROCEDURES,
+    ExpectedStep,
     ProcedureSpec,
     bundled_corpus_path,
     find_problem,
@@ -73,6 +76,19 @@ class TestLoad:
         assert flagged == {"half_diff", "half_sum"}
         # the tag itself keeps no question mark
         assert all("?" not in s.line for s in p2.expected_steps)
+
+    def test_report_text_takes_no_part_in_equality(self, bundled):
+        step = ExpectedStep("u", Sexa(5), "obv.33")
+        assert step.text == "5"        # render(value) when none is given
+        settled = ExpectedStep("u", Sexa(5), "obv.33", text="5")
+        assert (step, hash(step), repr(step)) \
+            == (settled, hash(settled), repr(settled))
+        assert "text" not in repr(step)
+        p = bundled[0]
+        rebuilt = dataclasses.replace(p, answer_texts=None)
+        assert rebuilt == p and repr(rebuilt) == repr(p)
+        assert rebuilt.answer_texts == p.answer_texts \
+            == {n: str(q) for n, q in p.expected_answers.items()}
 
     def test_empty_file(self, tmp_path):
         assert load_corpus(write_corpus(tmp_path, "")) == []
@@ -444,6 +460,22 @@ class TestReplayRowText:
         assert [(r.label, r.status, r.expected, r.got) for r in rows] == [
             ("root", "MATCH", "35;37,30", "35;37,30"),
             ("u", "MISMATCH", "5;0,1 nindan", "5 nindan")]
+
+    def test_only_values_got_are_written(self, tmp_path, monkeypatch):
+        # Expected texts are settled at load: replay writes a value only
+        # for a MISMATCH row, and only the value it computed.
+        problems = load_corpus(write_corpus(tmp_path, WRONG_VALUES))
+        written = []
+
+        def counting(x, *args, **kwargs):
+            written.append(x)
+            return render(x, *args, **kwargs)
+
+        monkeypatch.setattr(sexakit.corpus, "render", counting)
+        monkeypatch.setattr(sexakit.units, "render", counting)
+        for problem in problems:
+            replay(problem)
+        assert written == [Sexa("35;37,30"), Sexa(5)]
 
 
 def _broken_breadths(upper, excess, excess_share):

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from sexakit.corpus import PROCEDURES, load_corpus, replay
+from sexakit.sexa import render
 
 BENCH = str(Path(__file__).resolve().parent.parent / "bench")
 sys.path.insert(0, BENCH)
@@ -23,6 +24,8 @@ finally:
     sys.dont_write_bytecode = _write_bytecode
 
 PROBLEMS = gen.corpus(seed=6, count=40)
+NONCANONICAL = (Path(__file__).resolve().parent / "golden"
+                / "replay-noncanonical.corpus")
 
 
 @pytest.fixture(scope="module")
@@ -65,3 +68,14 @@ def test_every_problem_passes_verify(loaded):
     for problem in loaded:
         _, answers = problem.procedure.run(problem)
         problem.procedure.verify(problem, answers)
+
+
+def test_report_texts_are_the_rendered_values(loaded):
+    # Settled at load from the corpus literal, or rendered there when the
+    # literal is not canonical or the unit is sar60 or susi.
+    for problem in loaded + load_corpus(NONCANONICAL):
+        for step in problem.expected_steps:
+            assert step.text == render(step.value), (problem.id, step.label)
+        assert problem.answer_texts == {
+            name: str(q) for name, q in problem.expected_answers.items()
+        }, problem.id

@@ -21,6 +21,8 @@ from sexakit.errors import (
     ZeroInput,
 )
 from sexakit.sexa import (
+    _CANONICAL,
+    _LITERAL,
     _PRIME_SEARCH_LIMIT,
     Sexa,
     _smallest_prime_factor,
@@ -89,6 +91,24 @@ class TestParse:
     def test_malformed(self, bad):
         with pytest.raises(MalformedLiteral):
             parse(bad)
+
+    @pytest.mark.parametrize("bad,message", [
+        ("", "'': empty literal"),
+        ("-", "'-': empty literal"),
+        ("1,,2", "'1,,2': empty digit group"),
+        ("1;", "'1;': empty digit group"),
+        ("1,100", "'1,100': digit group '100' is longer than two digits"),
+        ("1;60", "'1;60': digit 60 out of range 0..59"),
+        ("1,\u0663", "'1,\u0663': bad digit group '\u0663'"),
+        ("1;2;3", "'1;2;3': more than one radix point"),
+        ("1:2;3", "'1:2;3': more than one radix point"),
+        (1.5, "expected a string, got float"),
+    ])
+    def test_malformed_message(self, bad, message):
+        # Only a literal the grammar refuses is walked, for this message.
+        with pytest.raises(MalformedLiteral) as err:
+            parse(bad)
+        assert str(err.value) == message
 
 
 class TestRender:
@@ -322,6 +342,36 @@ class TestRoundTrips:
         text = f"{abs(a)},{b};{c}"
         value = parse(text)
         assert parse(render(value)) == value
+
+
+#: Strings over the literal alphabet, and literals of the lenient grammar.
+literal_like = (st.text(alphabet="0123456789,;:-", max_size=12)
+                | st.from_regex(_LITERAL, fullmatch=True))
+
+
+class TestCanonicalLanguage:
+    """``_CANONICAL`` is exactly the set of literals ``render`` writes."""
+
+    @given(literal_like)
+    def test_canonical_iff_render_gives_it_back(self, text):
+        try:
+            fixed_point = render(parse(text)) == text
+        except MalformedLiteral:
+            fixed_point = False
+        assert bool(_CANONICAL.fullmatch(text)) == fixed_point
+
+    @given(smooth_values() | regular_values)
+    def test_render_writes_canonical_text(self, x):
+        assert _CANONICAL.fullmatch(render(x))
+
+    @pytest.mark.parametrize("text,canonical", [
+        ("0", True), ("-0", False), ("0;30", True), ("-0;30", True),
+        ("0,5", False), ("05", False), ("1,0", True), ("1;30,0", False),
+        ("3;0", False), ("0;0", False), ("14:3,45", False), ("59", True),
+        ("60", False), ("-1,0;0,5", True),
+    ])
+    def test_examples(self, text, canonical):
+        assert bool(_CANONICAL.fullmatch(text)) == canonical
 
 
 def digit_form(text):

@@ -86,9 +86,9 @@ class NonTerminating(SexakitError):
 
     ``value`` is a ``Sexa``; the message writes it as ``str`` does, in
     base 60 when it terminates and as p/q otherwise, or by its size when
-    a p/q term is too long to write.  ``prime`` is the
-    smallest prime other than 2, 3, 5 in the denominator, or None when
-    that prime lies above the bounded search.
+    a p/q term is too long to write.  ``prime`` is the smallest prime
+    other than 2, 3, 5 in the denominator, or None when that prime lies
+    above the bounded search.
     """
 
     def __init__(self, value, prime: int | None):

@@ -25,23 +25,23 @@ Cost model, for a value of n digit groups.  ``parse`` checks the whole
 literal with one compiled regex match and folds every group into one
 integer; only a literal the regex refuses is walked group by group, to
 name its first fault.  ``render``, the one path from a value to its
-literal (``str``, ``format`` and ``repr`` call it), peels five digits per
-big-integer division, then joins the integer and the fractional groups
-into the text once each.  Its output language is one regex too,
+literal (``str``, ``format`` and ``repr`` call it), peels five digits
+per big-integer division, then joins the integer and the fractional
+groups into the text once each.  Its output language is one regex too,
 ``_CANONICAL``: a literal that matches it is already the text ``render``
 would write for its value, so a caller holding such a literal (a corpus
-expectation) can print it without rendering.  Stripping 2, 3 and 5 (``is_regular``,
-``reciprocal``) takes one shift and O(log e) divisions per prime power
-p**e.  So the Python-level work is at most one step per group, but each
-step's big-integer arithmetic is linear in the length of the number: all
-three keep a quadratic term, and doubling n at a few thousand groups
-costs 3x to 4x.  Rejecting an irregular number is the exception: naming
-the prime in ``IrregularDivisor``/``NonTerminating`` trial-divides the
-non-smooth part m by the integers coprime to 30, up to its smallest
-prime p, up to sqrt(m) when m is prime, or up to ``_PRIME_SEARCH_LIMIT``
-(10**6), whichever comes first: at most about 270 000 divisions, each
-linear in the length of m.  Past the limit the error names no prime
-(``.prime`` is None).
+expectation) can print it without rendering.  Stripping 2, 3 and 5
+(``is_regular``, ``reciprocal``) takes one shift and O(log e) divisions
+per prime power p**e.  So the Python-level work is at most one step per
+group, but each step's big-integer arithmetic is linear in the length of
+the number: all three keep a quadratic term, and doubling n at a few
+thousand groups costs 3x to 4x.  Rejecting an irregular number is the
+exception: naming the prime in ``IrregularDivisor``/``NonTerminating``
+trial-divides the non-smooth part m by the integers coprime to 30, up to
+its smallest prime p, up to sqrt(m) when m is prime, or up to
+``_PRIME_SEARCH_LIMIT`` (10**6), whichever comes first: at most about
+270 000 divisions, each linear in the length of m.  Past the limit the
+error names no prime (``.prime`` is None).
 
 Small values (a few groups, as in a tablet replay) cost bookkeeping more
 than arithmetic, so every result is built once, with no second
@@ -267,9 +267,7 @@ def parse(text: str) -> Sexa:
         value = value * 60 + d
     if sign:
         value = -value
-    if not tail:
-        return _reduced(value, 1)
-    scale = 60 ** (tail.count(",") + 1)
+    scale = 60 ** (tail.count(",") + 1) if tail else 1
     g = math.gcd(value, scale)
     return _reduced(value // g, scale // g)
 

@@ -25,10 +25,10 @@ trace step against the expectations, label by label, with exact
 equality; answers are compared with their units.  Report text for an
 expectation is settled once, at load: the corpus literal itself when it
 is already canonical, else its rendering; ``replay`` writes only the
-values it computed that mismatch.  A report passes only
-with zero mismatches and zero missing labels.  A failure in ``run`` or
-``verify`` is raised as a ``ProcedureError`` naming the problem and the
-stage (``verify`` for a failed substitution).  Adding a procedure is one
+values it computed that mismatch.  A report passes only with zero
+mismatches and zero missing labels.  A failure in ``run`` or ``verify``
+is raised as a ``ProcedureError`` naming the problem and the stage
+(``verify`` for a failed substitution).  Adding a procedure is one
 ``ProcedureSpec`` entry plus a corpus record that uses it.
 """
 

@@ -68,6 +68,10 @@ _rule(_N, _K, _X)
 _rule(_X, _N, _V)
 _rule(_W, _V, _V)       # volume-per-worker times workers is a volume
 
+# Quotient table: (dividend, divisor) -> the one dimension whose product
+# with the divisor's is the dividend's.  No pair has two.
+_DIV = {(result, b): r for (b, r), result in _MUL.items()}
+
 _UNIT_TO_DIM = {d.value: d for d in Dimension}
 # Input-only spellings that scale into volume-sar.
 _VOLUME_ALIASES = {"sar60": Sexa(3600), "susi": Sexa(60), "volume-sar": Sexa(1)}
@@ -141,11 +145,10 @@ def qdiv(a: Quantity, b: Quantity) -> Quantity:
     elif b.dim is Dimension.DIMENSIONLESS:
         out = a.dim
     else:
-        candidates = [r for r in Dimension if _MUL.get((b.dim, r)) is a.dim]
-        if not candidates:
+        out = _DIV.get((a.dim, b.dim))
+        if out is None:
             raise DimensionMismatch(
                 f"no quotient defined for {a.dim.value} / {b.dim.value}")
-        out = candidates[0]
     return Quantity(a.magnitude * reciprocal(b.magnitude), out)
 
 

@@ -10,6 +10,8 @@ from sexakit.errors import (
 )
 from sexakit.sexa import Sexa, render
 from sexakit.units import (
+    _DIV,
+    _MUL,
     Dimension,
     KUS_PER_NINDAN,
     Quantity,
@@ -116,6 +118,30 @@ class TestQdiv:
     def test_undefined_quotient(self):
         with pytest.raises(DimensionMismatch):
             qdiv(Quantity(1, N), Quantity(1, V))
+
+    @pytest.mark.parametrize("dividend", list(Dimension))
+    @pytest.mark.parametrize("divisor", list(Dimension))
+    def test_quotient_table_matches_a_scan_of_products(self, dividend,
+                                                       divisor):
+        # The quotient is the dimension r with divisor x r = dividend,
+        # found by scanning every dimension, as qdiv once did.
+        scan = [r for r in Dimension if _MUL.get((divisor, r)) is dividend]
+        assert len(scan) <= 1
+        assert _DIV.get((dividend, divisor)) == (scan[0] if scan else None)
+        if dividend is divisor:
+            want = ONE
+        elif divisor is ONE:
+            want = dividend
+        elif scan:
+            want = scan[0]
+        else:
+            with pytest.raises(DimensionMismatch) as err:
+                qdiv(Quantity(1, dividend), Quantity(1, divisor))
+            assert str(err.value) == (f"no quotient defined for "
+                                      f"{dividend.value} / {divisor.value}")
+            return
+        assert qdiv(Quantity(2, dividend), Quantity(4, divisor)) \
+            == Quantity(Sexa("0;30"), want)
 
 
 class TestQuantity:

@@ -249,11 +249,15 @@ def _check_new(table: dict, key: str, what: str, line_no: int) -> None:
 
 def _parse_field(parse: Callable[[str], Sexa | Quantity], text: str,
                  line_no: int, line: str) -> Sexa | Quantity:
-    """``parse(text)``; a malformed literal is reported at its column."""
+    """``parse(text)``; a malformed literal is reported at its column.
+
+    The literal is searched for after the line's "=", so a literal that
+    also spells the field's name is not found in the name.
+    """
     try:
         return parse(text)
     except MalformedLiteral as exc:
-        col = line.find(text) + 1
+        col = line.find(text, line.find("=") + 1) + 1
         raise BadLiteral(str(exc), line=line_no, column=col or None) from exc
 
 

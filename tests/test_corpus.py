@@ -122,6 +122,9 @@ class TestLoad:
          "line 3, column 19: '45 furlong': unknown unit 'furlong'"),
         ("param  A =  0;30;1   # two points",
          "line 3, column 13: '0;30;1': more than one radix point"),
+        # The literal spells the field's name: found after the "=".
+        ("param A = A",
+         "line 3, column 11: 'A': bad digit group 'A'"),
     ])
     def test_bad_literal_message(self, tmp_path, field, message):
         path = write_corpus(

@@ -13,8 +13,10 @@ which a comparison through ``json.loads`` would not.  The
 one-problem corpus that fails in that ``ProcedureError`` stage, to pin
 the error text.  ``replay-noncanonical.corpus`` spells its values in
 ways the grammar allows but ``render`` does not write, with MISSING and
-MISMATCH rows of both kinds, to pin the canonical report text.  A
-golden file changes only when the output is meant to change.
+MISMATCH rows of both kinds, to pin the canonical report text.
+``replay-bad-literal.corpus`` has a literal that also spells its field's
+name, to pin the column of a bad literal.  A golden file changes only
+when the output is meant to change.
 """
 
 from pathlib import Path
@@ -67,6 +69,8 @@ CASES = {
     "replay-no-id": ["replay"],
     "replay-noncanonical": NONCANONICAL,
     "replay-noncanonical-json": NONCANONICAL + ["--json"],
+    "replay-bad-literal": ["replay", "--all", "--corpus",
+                           str(GOLDEN / "replay-bad-literal.corpus")],
     "eval-oracle-huge": ["eval", f"1,{NINES} / 7", "--oracle"],
     "eval-recognize-huge": ["eval", f"1,{NINES} / 7", "--recognize"],
     "solve-quadratic-huge-negative": ["solve-quadratic", "--", "1", "0",

@@ -44,14 +44,21 @@ its smallest prime p, up to sqrt(m) when m is prime, or up to
 error names no prime (``.prime`` is None).
 
 Small values (a few groups, as in a tablet replay) cost bookkeeping more
-than arithmetic, so every result is built once, with no second
-normalization.  ``Fraction``'s operators already return lowest terms,
-and ``_reduced`` sets the result's two slots directly instead of running
-the gcd again.  Negation, ``abs``, ``reciprocal`` (which swaps the
+than arithmetic, so ``Sexa`` does its own.  When the other operand is a
+Sexa, a Fraction or an int (bool included), ``+ - * /``, their reflected
+forms and ``== < <= > >=`` read its two terms directly (a ``type(x) is``
+test first, then ``isinstance``) and compute on integers, reducing as
+``Fraction``'s operators do: cross gcds for a product or quotient, one
+gcd of the denominators and one more for a sum or difference.
+``_reduced`` then sets the result's two slots directly, with no second
+normalization and no throwaway ``Fraction``.  Any other operand goes to
+``Fraction``'s own method, so a float raises ``TypeError`` in arithmetic
+and compares as it does with a ``Fraction``, and an unknown type gets
+``NotImplemented``.  Negation, ``abs``, ``reciprocal`` (which swaps the
 terms), ``sqrt_exact`` (roots of coprime squares are coprime), ``parse``
 (one gcd) and ``Sexa(fraction)`` build their results the same way, and
 ``Sexa(sexa)`` is its argument.  The functions that take a ``SexaLike``
-use a ``Fraction`` argument as it is.
+use a ``Fraction`` argument as it is.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -107,7 +114,7 @@ def _reduced(n: int, d: int) -> Sexa:
 
 def _as_fraction(x: SexaLike) -> Fraction:
     """x as it is when it is a Fraction (a Sexa is one), else Fraction(x)."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+    return x if type(x) is Sexa or isinstance(x, Fraction) else Fraction(x)
 
 
 def _wrap(value):
@@ -120,6 +127,90 @@ def _wrap(value):
         # Fraction falls back to float for mixed arithmetic; never allow it.
         raise TypeError("Sexa arithmetic does not mix with floats")
     return Sexa(value)
+
+
+# Kernels on the terms of two values in lowest terms, na/da and nb/db
+# with da, db > 0.  Each reduces as Fraction's own operators do (Knuth,
+# TAOCP 4.5.1), so its result is in lowest terms.
+
+def _add(na: int, da: int, nb: int, db: int) -> Sexa:
+    g = math.gcd(da, db)
+    if g == 1:
+        return _reduced(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = math.gcd(t, g)
+    return _reduced(t // g2, s * (db // g2))
+
+
+def _sub(na: int, da: int, nb: int, db: int) -> Sexa:
+    return _add(na, da, -nb, db)
+
+
+def _mul(na: int, da: int, nb: int, db: int) -> Sexa:
+    g1 = math.gcd(na, db)
+    g2 = math.gcd(nb, da)
+    return _reduced((na // g1) * (nb // g2), (db // g1) * (da // g2))
+
+
+def _div(na: int, da: int, nb: int, db: int) -> Sexa:
+    if nb == 0:
+        raise ZeroDivisionError("division by zero")
+    if nb < 0:
+        na, nb = -na, -nb
+    return _mul(na, da, db, nb)
+
+
+def _eq(na: int, da: int, nb: int, db: int) -> bool:
+    return na == nb and da == db
+
+
+def _lt(na: int, da: int, nb: int, db: int) -> bool:
+    return na * db < nb * da
+
+
+def _le(na: int, da: int, nb: int, db: int) -> bool:
+    return na * db <= nb * da
+
+
+def _operators(kernel, fraction_forward, fraction_reverse, wrap=_wrap):
+    """The methods for ``a op b`` with a Sexa on the left and on the right.
+
+    With a Sexa, Fraction or int (bool included) as the other operand,
+    both compute ``kernel`` on the two values' terms.  Any other operand
+    goes to the Fraction method and its result through ``wrap``: floats,
+    complex numbers and unknown types behave as they do for Fraction.
+    """
+    def forward(a, b):
+        t = type(b)
+        if t is Sexa or t is Fraction:
+            return kernel(a._numerator, a._denominator,
+                          b._numerator, b._denominator)
+        if t is int:
+            return kernel(a._numerator, a._denominator, b, 1)
+        if isinstance(b, (int, Fraction)):
+            return kernel(a._numerator, a._denominator,
+                          b.numerator, b.denominator)
+        return wrap(fraction_forward(a, b))
+
+    def reverse(b, a):
+        t = type(a)
+        if t is Sexa or t is Fraction:
+            return kernel(a._numerator, a._denominator,
+                          b._numerator, b._denominator)
+        if t is int:
+            return kernel(a, 1, b._numerator, b._denominator)
+        if isinstance(a, (int, Fraction)):
+            return kernel(a.numerator, a.denominator,
+                          b._numerator, b._denominator)
+        return wrap(fraction_reverse(b, a))
+
+    return forward, reverse
+
+
+def _unwrapped(value):
+    """A comparison's result, as Fraction's comparison gave it."""
+    return value
 
 
 class Sexa(Fraction):
@@ -146,29 +237,20 @@ class Sexa(Fraction):
         return super().__new__(cls, value, denominator)
 
     # Closed arithmetic: every result is a Sexa again.
-    def __add__(self, other):
-        return _wrap(Fraction.__add__(self, other))
+    __add__, __radd__ = _operators(_add, Fraction.__add__, Fraction.__radd__)
+    __sub__, __rsub__ = _operators(_sub, Fraction.__sub__, Fraction.__rsub__)
+    __mul__, __rmul__ = _operators(_mul, Fraction.__mul__, Fraction.__rmul__)
+    __truediv__, __rtruediv__ = _operators(
+        _div, Fraction.__truediv__, Fraction.__rtruediv__)
 
-    def __radd__(self, other):
-        return _wrap(Fraction.__radd__(self, other))
-
-    def __sub__(self, other):
-        return _wrap(Fraction.__sub__(self, other))
-
-    def __rsub__(self, other):
-        return _wrap(Fraction.__rsub__(self, other))
-
-    def __mul__(self, other):
-        return _wrap(Fraction.__mul__(self, other))
-
-    def __rmul__(self, other):
-        return _wrap(Fraction.__rmul__(self, other))
-
-    def __truediv__(self, other):
-        return _wrap(Fraction.__truediv__(self, other))
-
-    def __rtruediv__(self, other):
-        return _wrap(Fraction.__rtruediv__(self, other))
+    # b > a is a < b: the reflected form of < is >, and of <= is >=.
+    __lt__, __gt__ = _operators(_lt, Fraction.__lt__, Fraction.__gt__,
+                                _unwrapped)
+    __le__, __ge__ = _operators(_le, Fraction.__le__, Fraction.__ge__,
+                                _unwrapped)
+    __eq__ = _operators(_eq, Fraction.__eq__, Fraction.__eq__, _unwrapped)[0]
+    # A class body that defines __eq__ would otherwise set __hash__ to None.
+    __hash__ = Fraction.__hash__
 
     def __pow__(self, other):
         return _wrap(Fraction.__pow__(self, other))

@@ -6,6 +6,7 @@ import operator
 import pickle
 import re
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,7 @@ from sexakit.sexa import (
     sqrt_exact,
     square,
 )
+from sexakit.units import Dimension, Quantity
 
 
 def smooth_values(max_exp=6, max_num=10**6):
@@ -730,3 +732,82 @@ class TestReducedConstruction:
         # or adds to them must fail here, not build broken values.
         assert Fraction.__slots__ == ("_numerator", "_denominator")
         assert Sexa.__slots__ == ()
+
+    # -- Sexa's own kernels, against plain Fraction ---------------------------
+
+    @given(ratios, ratios)
+    def test_comparisons_match_fraction(self, a, b):
+        fa, sa = Fraction(*a), Sexa(*a)
+        for other, plain in ((Sexa(*b), Fraction(*b)),
+                             (Fraction(*b), Fraction(*b)),
+                             (b[0], b[0]), (b[0] > 0, b[0] > 0)):
+            for op in COMPARISONS:
+                assert op(sa, other) is op(fa, plain)
+                assert op(other, sa) is op(plain, fa)
+
+    @pytest.mark.parametrize("x", [Sexa(1, 2), Sexa(0), Sexa(-1, 3),
+                                   Sexa(10**400)])
+    @pytest.mark.parametrize("f", [0.5, -0.25, 0.0, 1e300, math.inf,
+                                   -math.inf, math.nan])
+    def test_float_comparisons_match_fraction(self, x, f):
+        fx = Fraction(x)
+        for op in COMPARISONS:
+            assert op(x, f) is op(fx, f)
+            assert op(f, x) is op(f, fx)
+
+    @pytest.mark.parametrize("divide", [
+        lambda: Sexa(1, 2) / 0,
+        lambda: Sexa(1, 2) / Sexa(0),
+        lambda: Sexa(1, 2) / Fraction(0),
+        lambda: Sexa(1, 2) / False,
+        lambda: 0 / Sexa(0),
+        lambda: Fraction(1) / Sexa(0),
+        lambda: Sexa(0) / Sexa(0),
+    ])
+    def test_zero_divisor_raises(self, divide):
+        with pytest.raises(ZeroDivisionError):
+            divide()
+
+    @pytest.mark.parametrize("other", [
+        Decimal("0.5"), Decimal("7"), 0.5 + 0j, 2j, None,
+        Quantity(Sexa(2), Dimension.LENGTH_NINDAN)])
+    def test_other_operands_behave_as_through_fraction(self, other):
+        # Fraction's method, then _wrap: a float or complex result is a
+        # TypeError, NotImplemented stays NotImplemented, and comparisons
+        # are Fraction's own.
+        x, fx = Sexa(1, 2), Fraction(1, 2)
+        for op in (operator.add, operator.sub, operator.mul,
+                   operator.truediv):
+            for got, want in ((lambda: op(x, other), lambda: op(fx, other)),
+                              (lambda: op(other, x), lambda: op(other, fx))):
+                kind, expected = outcome(want)
+                if kind == "value" and isinstance(expected, (float, complex)):
+                    kind, expected = "raises", TypeError
+                assert outcome(got) == (kind, expected)
+        for op in COMPARISONS:
+            assert outcome(lambda: op(x, other)) == outcome(
+                lambda: op(fx, other))
+            assert outcome(lambda: op(other, x)) == outcome(
+                lambda: op(other, fx))
+
+    @given(ratios)
+    def test_hash_and_fraction_keyed_lookup(self, a):
+        fa, sa = Fraction(*a), Sexa(*a)
+        assert hash(sa) == hash(fa)
+        assert sa in {fa} and fa in {sa}
+        assert {fa: "f"}[sa] == "f" and {sa: "s"}[fa] == "s"
+        if fa.denominator == 1:
+            assert hash(sa) == hash(fa.numerator)
+            assert {fa.numerator: "i"}[sa] == "i"
+
+
+COMPARISONS = (operator.eq, operator.ne, operator.lt, operator.le,
+               operator.gt, operator.ge)
+
+
+def outcome(call):
+    """("value", result) or ("raises", exception type) of call()."""
+    try:
+        return "value", call()
+    except Exception as exc:
+        return "raises", type(exc)

@@ -6,7 +6,11 @@ produce, so it is an oracle independent of sexakit.  It is imported from
 ``bench/`` the way ``bench/smoke.py`` imports it, without writing there.
 """
 
+import operator
 import sys
+from collections import Counter
+from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -79,3 +83,48 @@ def test_report_texts_are_the_rendered_values(loaded):
         assert problem.answer_texts == {
             name: str(q) for name, q in problem.expected_answers.items()
         }, problem.id
+
+
+#: Fraction's arithmetic and comparison paths; Sexa has kernels of its own.
+FRACTION_PATHS = ("_add", "_sub", "_mul", "_div", "__eq__", "_richcmp")
+
+
+@contextmanager
+def fraction_calls():
+    """Count calls into FRACTION_PATHS while the block runs.
+
+    Fraction's operators reach ``_add`` and the like through closures, not
+    through the class, so a patched attribute would miss them: a profile
+    hook counts calls to their code objects, and the hook in place before
+    is restored afterwards.
+    """
+    codes = {getattr(Fraction, name).__code__: name
+             for name in FRACTION_PATHS}
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls[codes[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)
+
+
+def test_fraction_call_counter_sees_every_path():
+    a, b = Fraction(1, 2), Fraction(1, 3)
+    with fraction_calls() as calls:
+        for op in (operator.add, operator.sub, operator.mul,
+                   operator.truediv, operator.eq, operator.lt):
+            op(a, b)
+    assert calls == dict.fromkeys(FRACTION_PATHS, 1)
+
+
+def test_replay_runs_no_fraction_arithmetic(loaded):
+    with fraction_calls() as calls:
+        for problem in loaded:
+            replay(problem)
+    assert calls == {}

@@ -178,8 +178,7 @@ def _operators(kernel, fraction_forward, fraction_reverse, wrap=_wrap):
 
     With a Sexa, Fraction or int (bool included) as the other operand,
     both compute ``kernel`` on the two values' terms.  Any other operand
-    goes to the Fraction method and its result through ``wrap``: floats,
-    complex numbers and unknown types behave as they do for Fraction.
+    goes to the Fraction method, and its result through ``wrap``.
     """
     def forward(a, b):
         t = type(b)

@@ -634,6 +634,18 @@ def assert_like_fraction(result, expected):
     assert hash(result) == hash(expected)
 
 
+COMPARISONS = (operator.eq, operator.ne, operator.lt, operator.le,
+               operator.gt, operator.ge)
+
+
+def outcome(call):
+    """("value", result) or ("raises", exception type) of call()."""
+    try:
+        return "value", call()
+    except Exception as exc:
+        return "raises", type(exc)
+
+
 class TestReducedConstruction:
     @given(ratios, ratios)
     def test_binary_ops_match_fraction(self, a, b):
@@ -800,14 +812,3 @@ class TestReducedConstruction:
             assert hash(sa) == hash(fa.numerator)
             assert {fa.numerator: "i"}[sa] == "i"
 
-
-COMPARISONS = (operator.eq, operator.ne, operator.lt, operator.le,
-               operator.gt, operator.ge)
-
-
-def outcome(call):
-    """("value", result) or ("raises", exception type) of call()."""
-    try:
-        return "value", call()
-    except Exception as exc:
-        return "raises", type(exc)

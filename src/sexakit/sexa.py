@@ -204,6 +204,10 @@ def _operators(kernel, fraction_forward, fraction_reverse, wrap=_wrap):
                           b._numerator, b._denominator)
         return wrap(fraction_reverse(b, a))
 
+    for method, fraction_method in ((forward, fraction_forward),
+                                    (reverse, fraction_reverse)):
+        method.__name__ = fraction_method.__name__
+        method.__qualname__ = f"Sexa.{method.__name__}"
     return forward, reverse
 
 

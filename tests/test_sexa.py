@@ -811,4 +811,3 @@ class TestReducedConstruction:
         if fa.denominator == 1:
             assert hash(sa) == hash(fa.numerator)
             assert {fa.numerator: "i"}[sa] == "i"
-

@@ -19,7 +19,7 @@ from .errors import (
     NonPositiveDimension,
 )
 from .procedures import StepTrace
-from .sexa import Sexa, SexaLike, reciprocal
+from .sexa import _HALF, Sexa, SexaLike, reciprocal
 from .units import Dimension, KUS_PER_NINDAN, Quantity, qdiv, qmul
 
 __all__ = [
@@ -82,7 +82,7 @@ def trapezoid_cross_section(upper: Quantity, lower: Quantity,
     _positive(_expect(lower, Dimension.LENGTH_NINDAN, "lower breadth"),
               "lower breadth")
     _positive(_expect(depth, Dimension.LENGTH_KUS, "depth"), "depth")
-    return qmul(depth, upper + lower) * Sexa(1, 2)
+    return qmul(depth, upper + lower) * _HALF
 
 
 def prism_volume(section: Quantity, length: Quantity) -> Quantity:
@@ -106,7 +106,7 @@ def breadths_from_constraints(upper: SexaLike, *,
     """
     u = Sexa(upper)
     excess = Sexa(excess)
-    v = u * Sexa(1, 2) + excess
+    v = u * _HALF + excess
     if u < v:
         raise InconsistentConstraint(
             f"upper breadth {u} is smaller than the derived lower breadth {v}")

@@ -37,11 +37,13 @@ group, but each step's big-integer arithmetic is linear in the length of
 the number: all three keep a quadratic term, and doubling n at a few
 thousand groups costs 3x to 4x.  Rejecting an irregular number is the
 exception: naming the prime in ``IrregularDivisor``/``NonTerminating``
-trial-divides the non-smooth part m by the integers coprime to 30, up to
-its smallest prime p, up to sqrt(m) when m is prime, or up to
-``_PRIME_SEARCH_LIMIT`` (10**6), whichever comes first: at most about
-270 000 divisions, each linear in the length of m.  Past the limit the
-error names no prime (``.prime`` is None).
+searches the non-smooth part m for its smallest prime p among the
+integers coprime to 30, up to sqrt(m) when m is prime, or up to
+``_PRIME_SEARCH_LIMIT`` (10**6), whichever comes first.  It takes one
+gcd of m with the product of each block of candidates (blocks of 8, 16,
+32, ... candidates, then 1024 at a time: at most 267 gcds, each with a
+product of at most about 20 400 bits), plus at most one walk of one
+block.  Past the limit the error names no prime (``.prime`` is None).
 
 Small values (a few groups, as in a tablet replay) cost bookkeeping more
 than arithmetic, so ``Sexa`` does its own.  When the other operand is a
@@ -58,7 +60,13 @@ and compares as it does with a ``Fraction``, and an unknown type gets
 terms), ``sqrt_exact`` (roots of coprime squares are coprime), ``parse``
 (one gcd) and ``Sexa(fraction)`` build their results the same way, and
 ``Sexa(sexa)`` is its argument.  The functions that take a ``SexaLike``
-use a ``Fraction`` argument as it is.  Nothing is cached between calls.
+use a ``Fraction`` argument as it is.
+
+One table is kept between calls: ``_BLOCK_PRODUCTS``, the product of
+each block's candidates, a constant of the prime search.  It is empty at
+import, and a block's product is built the first time a search reaches
+that block, so a search that stops at p builds only the blocks up to p.
+All 267 products together take about 650 KiB and 0.1 s to build.
 """
 
 from __future__ import annotations
@@ -91,13 +99,34 @@ __all__ = [
 
 SexaLike = Union["Sexa", Fraction, int]
 
-#: Gaps between successive integers coprime to 30, starting from 7.
-_WHEEL_GAPS = (4, 2, 4, 2, 4, 6, 2, 6)
 #: Five base-60 digits, below 2**30: one CPython digit per division.
 _CHUNK = 60 ** 5
-#: Largest trial divisor used to name the prime in an error: every prime
-#: up to it is found, and no search runs past it (about 270 000 divisions).
+#: The integers coprime to 30 from 7 on, the candidates of the prime
+#: search, are 30*t + r for r here, one turn t = 0, 1, 2, ... at a time.
+_WHEEL = (7, 11, 13, 17, 19, 23, 29, 31)
+#: Every prime up to this limit is named in an error.  The search stops
+#: at the end of the wheel's turn that holds it: its last candidate is
+#: ``_LAST_CANDIDATE`` (1 000 021), about 267 000 candidates in all.
 _PRIME_SEARCH_LIMIT = 10 ** 6
+_SEARCH_TURNS = (_PRIME_SEARCH_LIMIT - _WHEEL[0]) // 30 + 1
+_LAST_CANDIDATE = 30 * (_SEARCH_TURNS - 1) + _WHEEL[-1]
+
+
+def _search_blocks() -> tuple[range, ...]:
+    """The prime search's blocks of turns of the wheel: 1, 2, 4, ...
+    turns, then 128 at a time, the last one cut at ``_SEARCH_TURNS``."""
+    blocks, size = [range(0, 1)], 1
+    while blocks[-1].stop < _SEARCH_TURNS:
+        start, size = blocks[-1].stop, min(2 * size, 128)
+        blocks.append(range(start, min(start + size, _SEARCH_TURNS)))
+    return tuple(blocks)
+
+
+_BLOCKS = _search_blocks()
+#: The product of each block's candidates, keyed by its first candidate:
+#: a constant of the search, built the first time a search reaches its
+#: block (``_block_product``).  Nothing else is kept between calls.
+_BLOCK_PRODUCTS: dict[int, int] = {}
 
 
 def _reduced(n: int, d: int) -> Sexa:
@@ -378,25 +407,48 @@ def _strip_smooth(n: int) -> tuple[int, dict[int, int]]:
     return n, exponents
 
 
-def _smallest_prime_factor(n: int) -> int | None:
-    """The smallest prime factor of n > 1, found by trial division.
+def _candidates(turns: range) -> list[int]:
+    """The wheel's candidates in the given turns, in increasing order."""
+    return [30 * t + r for t in turns for r in _WHEEL]
 
-    The search stops once its divisors pass ``_PRIME_SEARCH_LIMIT`` (at
-    the end of that turn of the wheel); then n has only prime factors
-    above the limit, and the result is None.
+
+def _block_product(lo: int, turns: range) -> int:
+    product = _BLOCK_PRODUCTS.get(lo)
+    if product is None:
+        # Racing threads build the same value: whichever stores first
+        # wins, and every caller gets an equal product.
+        product = _BLOCK_PRODUCTS.setdefault(
+            lo, math.prod(_candidates(turns)))
+    return product
+
+
+def _smallest_prime_factor(n: int) -> int | None:
+    """The smallest prime factor of n > 1, found by a blockwise search.
+
+    Trial division by 2, 3 and 5, then one gcd of n with the product of
+    each block of wheel candidates in turn.  The first block that shares
+    a factor with n holds n's smallest prime p.  That shared factor g
+    has no prime below the block's first candidate lo (an earlier block
+    would have shared it), so g is p itself when g < lo*lo; else g is
+    walked candidate by candidate.  The search stops at the first block
+    with lo*lo > n (then n is prime) or after ``_LAST_CANDIDATE``; then
+    n has only prime factors above ``_PRIME_SEARCH_LIMIT``, and the
+    result is None.
     """
     for p in (2, 3, 5):
         if n % p == 0:
             return p
-    f = 7
-    while f <= _PRIME_SEARCH_LIMIT:
-        for gap in _WHEEL_GAPS:
-            if f * f > n:
-                return n
-            if n % f == 0:
-                return f
-            f += gap
-    return None
+    for turns in _BLOCKS:
+        lo = 30 * turns.start + _WHEEL[0]
+        if lo * lo > n:
+            return n
+        g = math.gcd(n, _block_product(lo, turns))
+        if g > 1:
+            if g < lo * lo:
+                return g
+            # A candidate divides n exactly when it divides g.
+            return next(f for f in _candidates(turns) if g % f == 0)
+    return n if n < _LAST_CANDIDATE * _LAST_CANDIDATE else None
 
 
 def _expansion_exponent(den: int) -> tuple[int, int]:
@@ -460,8 +512,12 @@ def render(x: SexaLike, fraction_fallback: bool = False) -> str:
     return _digits(f, k)
 
 
+#: 1/2, built once for ``halve`` and the canal formulas in ``geometry``.
+_HALF = _reduced(1, 2)
+
+
 def halve(x: SexaLike) -> Sexa:
-    return Sexa(x) * Sexa(1, 2)
+    return Sexa(x) * _HALF
 
 
 def square(x: SexaLike) -> Sexa:

@@ -1,16 +1,22 @@
 """Number core: literals, rendering, regularity, reciprocals, roots."""
 
+import contextlib
 import copy
+import io
 import math
 import operator
+import os
 import pickle
 import re
+import subprocess
+import sys
+import threading
 import time
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sexakit.errors import (
     IrregularDivisor,
@@ -21,11 +27,16 @@ from sexakit.errors import (
     UnwritableValue,
     ZeroInput,
 )
+import sexakit
+from sexakit import sexa
 from sexakit.sexa import (
+    _BLOCKS,
     _CANONICAL,
+    _LAST_CANDIDATE,
     _LITERAL,
     _PRIME_SEARCH_LIMIT,
     Sexa,
+    _candidates,
     _smallest_prime_factor,
     _strip_smooth,
     halve,
@@ -554,6 +565,7 @@ class TestBoundedPrimeSearch:
         (SEMIPRIME, None),
         (1299709 * 1299721, None),
         (SEMIPRIME**40, None),
+        pytest.param(SEMIPRIME**1000, None, id="semiprime**1000"),
     ])
     def test_search_stops_at_the_limit(self, n, p):
         start = time.perf_counter()
@@ -617,6 +629,144 @@ class TestBoundedPrimeSearch:
         with pytest.raises(error) as err:
             call()
         assert str(err.value) == message
+
+
+# -- the block search against the wheel loop it replaced ---------------------
+
+#: Gaps between successive integers coprime to 30, starting from 7.
+_WHEEL_GAPS = (4, 2, 4, 2, 4, 6, 2, 6)
+
+
+def reference_smallest_prime_factor(n: int) -> int | None:
+    """The smallest prime factor of n > 1, found by trial division.
+
+    The search stops once its divisors pass ``_PRIME_SEARCH_LIMIT`` (at
+    the end of that turn of the wheel); then n has only prime factors
+    above the limit, and the result is None.
+    """
+    for p in (2, 3, 5):
+        if n % p == 0:
+            return p
+    f = 7
+    while f <= _PRIME_SEARCH_LIMIT:
+        for gap in _WHEEL_GAPS:
+            if f * f > n:
+                return n
+            if n % f == 0:
+                return f
+            f += gap
+    return None
+
+
+def small_prime_from(n: int) -> int:
+    """The least prime >= max(n, 7), for n up to a few million."""
+    n = max(n, 7)
+    while any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
+        n += 1
+    return n
+
+
+#: The first candidate of every block, and the first one past the search.
+BLOCK_BOUNDARIES = [30 * turns.start + 7 for turns in _BLOCKS] + [
+    _LAST_CANDIDATE + 6]
+
+#: A prime within 120 of a block boundary, on either side of it.
+primes_near_boundaries = st.builds(
+    lambda lo, offset: small_prime_from(lo + offset),
+    st.sampled_from(BLOCK_BOUNDARIES), st.integers(-120, 120))
+
+
+class TestBlockSearch:
+    def test_blocks_cover_the_wheel_up_to_the_last_candidate(self):
+        turns = [t for block in _BLOCKS for t in block]
+        assert turns == list(range(len(turns)))
+        assert max(_candidates(_BLOCKS[-1])) == _LAST_CANDIDATE == 1000021
+        assert _LAST_CANDIDATE >= _PRIME_SEARCH_LIMIT
+
+    @pytest.mark.parametrize("n,p", [
+        # isqrt(n) == 1000020: a prime is named as itself.
+        (1000020**2 + 19, 1000020**2 + 19),
+        (1000003 * 1000039, 1000003),
+        # 1000021**2 - 14 and + 12 are the primes either side of the
+        # last candidate's square.
+        (1000021**2 - 14, 1000021**2 - 14),
+        (1000021**2 + 12, None),
+        # isqrt(n) == 1000021 and 1000026: past the last candidate, so
+        # a prime is not named.
+        (1000021**2, 11),
+        (1000021**2 + 2 * 1000021 - 20, None),
+        (1000026**2 + 5, None),
+        (1000026**2 + 2 * 1000026 - 11, None),
+        (1000003 * 1000033, 1000003),
+        (1000033 * 1000037, None),
+        # Two primes of one block: the gcd is their product, then walked.
+        (101 * 103, 101),
+        (999979 * 999983, 999979),
+        (999979 * 999983 * SEMIPRIME, 999979),
+        # Squares of candidates.
+        (7**50, 7),
+        (97**2, 97),
+        (1000003**2, 1000003),
+        (1, 1),
+    ])
+    def test_matches_the_wheel_loop_at_the_limits(self, n, p):
+        assert _smallest_prime_factor(n) == \
+            reference_smallest_prime_factor(n) == p
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(primes_near_boundaries, min_size=1, max_size=3),
+           st.sampled_from([1, 1000033, 1000000007, SEMIPRIME]))
+    def test_matches_the_wheel_loop_across_block_boundaries(
+            self, primes, cofactor):
+        n = math.prod(primes) * cofactor
+        assert _smallest_prime_factor(n) == \
+            reference_smallest_prime_factor(n) == min(primes)
+
+    def test_threads_share_one_table(self):
+        inputs = [small_prime_from(lo + 1) * 1000000007
+                  for lo in BLOCK_BOUNDARIES[::40]] + [SEMIPRIME, 97**2]
+        expected = [reference_smallest_prime_factor(n) for n in inputs]
+        results = [None] * 4
+
+        def search(i):
+            results[i] = [_smallest_prime_factor(n) for n in inputs]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sexa._BLOCK_PRODUCTS.clear()
+            threads = [threading.Thread(target=search, args=(i,))
+                       for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 4
+        assert len(sexa._BLOCK_PRODUCTS) == len(_BLOCKS)
+        for turns in _BLOCKS:
+            lo = 30 * turns.start + 7
+            assert sexa._BLOCK_PRODUCTS[lo] == math.prod(_candidates(turns))
+
+    def test_no_product_is_built_by_import_or_replay(self):
+        script = (
+            "import contextlib, io\n"
+            "import sexakit\n"
+            "from sexakit import cli, sexa\n"
+            "print(len(sexa._BLOCK_PRODUCTS))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['replay', '--all'])\n"
+            "print(code, len(sexa._BLOCK_PRODUCTS))\n")
+        src = os.path.dirname(os.path.dirname(sexakit.__file__))
+        path = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "0", "0"]
 
 
 # -- values built without a second normalization ------------------------------

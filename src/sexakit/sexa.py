@@ -18,8 +18,9 @@ denominator are 60-smooth; exactly those numbers have finite reciprocals,
 which is why the scribal operations (``reciprocal``, and every division
 implemented as multiplication by a reciprocal) insist on them.
 
-Everything here is immutable and pure; values are safe to share between
-threads.
+Every value here is immutable and every function pure (the one table
+kept between calls holds constants, see below); values are safe to share
+between threads.
 
 Cost model, for a value of n digit groups.  ``parse`` checks the whole
 literal with one compiled regex match and folds every group into one
@@ -41,9 +42,10 @@ searches the non-smooth part m for its smallest prime p among the
 integers coprime to 30, up to sqrt(m) when m is prime, or up to
 ``_PRIME_SEARCH_LIMIT`` (10**6), whichever comes first.  It takes one
 gcd of m with the product of each block of candidates (blocks of 8, 16,
-32, ... candidates, then 1024 at a time: at most 267 gcds, each with a
-product of at most about 20 400 bits), plus at most one walk of one
-block.  Past the limit the error names no prime (``.prime`` is None).
+32, ... candidates, then 1024 at a time): at most 267 gcds, each one
+reduction of m by a product of at most about 20 400 bits, then at most
+one walk of one block that divides the shared factor, not m.  Past the
+limit the error names no prime (``.prime`` is None).
 
 Small values (a few groups, as in a tablet replay) cost bookkeeping more
 than arithmetic, so ``Sexa`` does its own.  When the other operand is a
@@ -125,7 +127,7 @@ def _search_blocks() -> tuple[range, ...]:
 _BLOCKS = _search_blocks()
 #: The product of each block's candidates, keyed by its first candidate:
 #: a constant of the search, built the first time a search reaches its
-#: block (``_block_product``).  Nothing else is kept between calls.
+#: block.  Nothing else is kept between calls.
 _BLOCK_PRODUCTS: dict[int, int] = {}
 
 
@@ -407,21 +409,6 @@ def _strip_smooth(n: int) -> tuple[int, dict[int, int]]:
     return n, exponents
 
 
-def _candidates(turns: range) -> list[int]:
-    """The wheel's candidates in the given turns, in increasing order."""
-    return [30 * t + r for t in turns for r in _WHEEL]
-
-
-def _block_product(lo: int, turns: range) -> int:
-    product = _BLOCK_PRODUCTS.get(lo)
-    if product is None:
-        # Racing threads build the same value: whichever stores first
-        # wins, and every caller gets an equal product.
-        product = _BLOCK_PRODUCTS.setdefault(
-            lo, math.prod(_candidates(turns)))
-    return product
-
-
 def _smallest_prime_factor(n: int) -> int | None:
     """The smallest prime factor of n > 1, found by a blockwise search.
 
@@ -430,10 +417,10 @@ def _smallest_prime_factor(n: int) -> int | None:
     a factor with n holds n's smallest prime p.  That shared factor g
     has no prime below the block's first candidate lo (an earlier block
     would have shared it), so g is p itself when g < lo*lo; else g is
-    walked candidate by candidate.  The search stops at the first block
-    with lo*lo > n (then n is prime) or after ``_LAST_CANDIDATE``; then
-    n has only prime factors above ``_PRIME_SEARCH_LIMIT``, and the
-    result is None.
+    walked candidate by candidate.  The search stops with n at the first
+    block with lo*lo > n (then n is prime).  Past ``_LAST_CANDIDATE`` it
+    gives n when n < _LAST_CANDIDATE**2 (n is prime), else None: then n
+    has only prime factors above ``_PRIME_SEARCH_LIMIT``.
     """
     for p in (2, 3, 5):
         if n % p == 0:
@@ -442,12 +429,21 @@ def _smallest_prime_factor(n: int) -> int | None:
         lo = 30 * turns.start + _WHEEL[0]
         if lo * lo > n:
             return n
-        g = math.gcd(n, _block_product(lo, turns))
+        product = _BLOCK_PRODUCTS.get(lo)
+        if product is None:
+            # Racing threads build the same value: whichever stores
+            # first wins, and every caller gets an equal product.
+            product = _BLOCK_PRODUCTS.setdefault(
+                lo, math.prod(30 * t + r for t in turns for r in _WHEEL))
+        g = math.gcd(n, product)
         if g > 1:
             if g < lo * lo:
                 return g
             # A candidate divides n exactly when it divides g.
-            return next(f for f in _candidates(turns) if g % f == 0)
+            for t in turns:
+                for r in _WHEEL:
+                    if g % (30 * t + r) == 0:
+                        return 30 * t + r
     return n if n < _LAST_CANDIDATE * _LAST_CANDIDATE else None
 
 

@@ -35,8 +35,8 @@ from sexakit.sexa import (
     _LAST_CANDIDATE,
     _LITERAL,
     _PRIME_SEARCH_LIMIT,
+    _WHEEL,
     Sexa,
-    _candidates,
     _smallest_prime_factor,
     _strip_smooth,
     halve,
@@ -676,11 +676,15 @@ primes_near_boundaries = st.builds(
     st.sampled_from(BLOCK_BOUNDARIES), st.integers(-120, 120))
 
 
+def block_candidates(turns: range) -> list[int]:
+    return [30 * t + r for t in turns for r in _WHEEL]
+
+
 class TestBlockSearch:
     def test_blocks_cover_the_wheel_up_to_the_last_candidate(self):
         turns = [t for block in _BLOCKS for t in block]
         assert turns == list(range(len(turns)))
-        assert max(_candidates(_BLOCKS[-1])) == _LAST_CANDIDATE == 1000021
+        assert max(block_candidates(_BLOCKS[-1])) == _LAST_CANDIDATE == 1000021
         assert _LAST_CANDIDATE >= _PRIME_SEARCH_LIMIT
 
     @pytest.mark.parametrize("n,p", [
@@ -748,7 +752,7 @@ class TestBlockSearch:
         assert len(sexa._BLOCK_PRODUCTS) == len(_BLOCKS)
         for turns in _BLOCKS:
             lo = 30 * turns.start + 7
-            assert sexa._BLOCK_PRODUCTS[lo] == math.prod(_candidates(turns))
+            assert sexa._BLOCK_PRODUCTS[lo] == math.prod(block_candidates(turns))
 
     def test_no_product_is_built_by_import_or_replay(self):
         script = (

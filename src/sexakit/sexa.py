@@ -42,10 +42,10 @@ searches the non-smooth part m for its smallest prime p among the
 integers coprime to 30, up to sqrt(m) when m is prime, or up to
 ``_PRIME_SEARCH_LIMIT`` (10**6), whichever comes first.  It takes one
 gcd of m with the product of each block of candidates (blocks of 8, 16,
-32, ... candidates, then 1024 at a time): at most 267 gcds, each one
-reduction of m by a product of at most about 20 400 bits, then at most
-one walk of one block that divides the shared factor, not m.  Past the
-limit the error names no prime (``.prime`` is None).
+32, ... candidates, then 1024 at a time): at most 267 gcds, each of m
+and a product of at most about 20 400 bits, then at most one walk of one
+block that divides the shared factor, not m.  Past the limit the error
+names no prime (``.prime`` is None).
 
 Small values (a few groups, as in a tablet replay) cost bookkeeping more
 than arithmetic, so ``Sexa`` does its own.  When the other operand is a

@@ -1,8 +1,6 @@
 """Number core: literals, rendering, regularity, reciprocals, roots."""
 
-import contextlib
 import copy
-import io
 import math
 import operator
 import os
@@ -18,6 +16,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sexakit
+from sexakit import sexa
 from sexakit.errors import (
     IrregularDivisor,
     MalformedLiteral,
@@ -27,8 +27,6 @@ from sexakit.errors import (
     UnwritableValue,
     ZeroInput,
 )
-import sexakit
-from sexakit import sexa
 from sexakit.sexa import (
     _BLOCKS,
     _CANONICAL,
@@ -684,7 +682,8 @@ class TestBlockSearch:
     def test_blocks_cover_the_wheel_up_to_the_last_candidate(self):
         turns = [t for block in _BLOCKS for t in block]
         assert turns == list(range(len(turns)))
-        assert max(block_candidates(_BLOCKS[-1])) == _LAST_CANDIDATE == 1000021
+        assert max(block_candidates(_BLOCKS[-1])) == _LAST_CANDIDATE
+        assert _LAST_CANDIDATE == 1000021
         assert _LAST_CANDIDATE >= _PRIME_SEARCH_LIMIT
 
     @pytest.mark.parametrize("n,p", [
@@ -752,7 +751,8 @@ class TestBlockSearch:
         assert len(sexa._BLOCK_PRODUCTS) == len(_BLOCKS)
         for turns in _BLOCKS:
             lo = 30 * turns.start + 7
-            assert sexa._BLOCK_PRODUCTS[lo] == math.prod(block_candidates(turns))
+            assert sexa._BLOCK_PRODUCTS[lo] == \
+                math.prod(block_candidates(turns))
 
     def test_no_product_is_built_by_import_or_replay(self):
         script = (

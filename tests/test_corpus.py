@@ -1,6 +1,7 @@
 """Corpus loading, replay verification, and the enlarged-canal system."""
 
 import dataclasses
+import time
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ from sexakit.errors import (
 )
 from sexakit.geometry import SMALL_CANAL_CONSTANT, breadths_from_constraints
 from sexakit.procedures import replay_smt24_p2, solve_sum_difference
-from sexakit.sexa import Sexa, reciprocal, render
+from sexakit.sexa import Sexa, parse, reciprocal, render
 from sexakit.units import Dimension, Quantity
 
 
@@ -98,6 +99,18 @@ class TestLoad:
         path = write_corpus(tmp_path, "")
         monkeypatch.setenv("SEXAKIT_CORPUS", str(path))
         assert load_corpus() == []
+
+    def test_long_literal_loads_in_bounded_time(self, tmp_path):
+        # A corpus line has no length cap: a 200 000-group literal took
+        # about 11 s to parse one group per step, under 0.5 s folded.
+        huge = ",".join(["59", "0", "7", "05"] * 50_000)
+        path = write_corpus(tmp_path, minimal_record("quadratic").replace(
+            "param A = 1", f"param A = {huge}"))
+        start = time.perf_counter()
+        problem, = load_corpus(path)
+        elapsed = time.perf_counter() - start
+        assert problem.parameters["A"] == parse(huge)
+        assert elapsed < 2, f"{elapsed:.2f} s"
 
     def test_bad_literal_position(self, tmp_path):
         path = write_corpus(tmp_path, "\n".join([

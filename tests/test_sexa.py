@@ -35,6 +35,10 @@ from sexakit.sexa import (
     _PRIME_SEARCH_LIMIT,
     _WHEEL,
     Sexa,
+    _digits,
+    _expansion_exponent,
+    _malformed,
+    _reduced,
     _smallest_prime_factor,
     _strip_smooth,
     halve,
@@ -771,6 +775,170 @@ class TestBlockSearch:
             env={**os.environ, "PYTHONPATH": path}, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["0", "0", "0"]
+
+
+# -- the digit kernels against the one-group loops they replaced -------------
+
+#: Five base-60 digits, below 2**30: one CPython digit per division.
+_CHUNK = 60 ** 5
+
+
+def reference_parse(text: str) -> Sexa:
+    """Parse a sexagesimal literal into an exact rational.
+
+    Lenient about non-canonical spellings (leading zero groups, trailing
+    fractional zeros, ":" for ";"); strict about the grammar itself.
+    """
+    if not isinstance(text, str):
+        raise MalformedLiteral(f"expected a string, got {type(text).__name__}")
+    s = text.strip()
+    m = _LITERAL.fullmatch(s)
+    if m is None:
+        raise _malformed(text, s)
+    sign, head, tail = m.groups()
+    value = 0
+    for d in map(int, (head + "," + tail if tail else head).split(",")):
+        value = value * 60 + d
+    if sign:
+        value = -value
+    scale = 60 ** (tail.count(",") + 1) if tail else 1
+    g = math.gcd(value, scale)
+    return _reduced(value // g, scale // g)
+
+
+def reference_digits(f: Fraction, k: int) -> str:
+    """Canonical literal of f, for the smallest k with f's denominator
+    dividing 60**k (``_expansion_exponent``).
+
+    The form is canonical by construction: a minimal k leaves no trailing
+    zero in the fractional part, and padding only up to k + 1 digits
+    leaves no leading zero in the integer part.
+    """
+    scaled = abs(f.numerator) * (60 ** k // f.denominator)
+    digits = []
+    while scaled >= _CHUNK:
+        scaled, chunk = divmod(scaled, _CHUNK)
+        for _ in range(5):
+            chunk, d = divmod(chunk, 60)
+            digits.append(d)
+    while scaled:
+        scaled, d = divmod(scaled, 60)
+        digits.append(d)
+    while len(digits) < k + 1:
+        digits.append(0)
+    digits.reverse()
+    point = len(digits) - k
+    text = ",".join(map(str, digits[:point]))
+    if k:
+        text += ";" + ",".join(map(str, digits[point:]))
+    return "-" + text if f.numerator < 0 else text
+
+
+#: Group counts at the kernels' edges: the last count folded one by one
+#: and the first paired (8, 9), odd and even counts, four-digit chunks,
+#: and the first split of a part into halves (512, 513) and of a half
+#: again (1025).
+EDGE_COUNTS = [1, 2, 3, 4, 5, 7, 8, 9, 10, 16, 17, 33, 511, 512, 513, 514,
+               1024, 1025, 1026, 1500]
+group_counts = st.sampled_from(EDGE_COUNTS) | st.integers(0, 1500)
+
+
+@st.composite
+def long_digits(draw, counts=group_counts):
+    """Digits 0..59, random or all 59, with one run of zeros at any place."""
+    n = draw(counts)
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        digits = [rng.randrange(60) for _ in range(n)]
+    else:
+        digits = [59] * n
+    start = rng.randrange(n + 1)
+    end = draw(st.sampled_from([start, start + 1, n, n + 600]))
+    digits[start:end] = [0] * (min(end, n) - start)
+    return digits
+
+
+def spell(digits, rng):
+    """Digit groups as a literal may spell them: "5" or "05"."""
+    return ",".join(f"{d:02}" if d < 10 and rng.random() < 0.3 else str(d)
+                    for d in digits)
+
+
+def assert_writes_as_reference(x):
+    """render, str, repr and format of x give the reference text."""
+    f = Fraction(x)
+    _, k = _expansion_exponent(f.denominator)
+    text = reference_digits(f, k)
+    assert _digits(f, k) == text
+    assert render(x) == text
+    x = Sexa(x)
+    assert str(x) == format(x, "") == f"{x}" == text
+    assert repr(x) == f"Sexa({text!r})"
+
+
+#: Integer parts at the edges of a digit pair, a four-digit chunk and the
+#: first split into halves, and fractional parts of odd and even k.
+WHOLE_EDGES = {
+    "0": 0, "1": 1, "59": 59, "60": 60, "3599": 3599, "3600": 3600,
+    "60**4-1": 60**4 - 1, "60**4": 60**4, "60**4+1": 60**4 + 1,
+    "60**512-1": 60**512 - 1, "60**512": 60**512, "60**512+1": 60**512 + 1,
+    "60**1024+60**512-1": 60**1024 + 60**512 - 1,
+}
+FRACTION_EDGES = {
+    "0": 0, "1/2": Fraction(1, 2), "59/60": Fraction(59, 60),
+    "1/3600": Fraction(1, 3600), "7/60**3": Fraction(7, 60**3),
+    "1/2**10": Fraction(1, 2**10), "1/60**4": Fraction(1, 60**4),
+    "(60**4+1)/60**5": Fraction(60**4 + 1, 60**5),
+    "1/60**512": Fraction(1, 60**512),
+    "(60**513-1)/60**513": Fraction(60**513 - 1, 60**513),
+    "1/3**1025": Fraction(1, 3**1025),
+}
+
+
+class TestDigitKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["", "-"]), long_digits(),
+           long_digits(st.sampled_from([0, 0, 1, 2, 9]) | group_counts),
+           st.sampled_from([";", ":"]), st.randoms(use_true_random=False))
+    def test_literals_match_the_loops(self, sign, head, tail, point, rng):
+        head = head or [0]
+        text = sign + spell(head, rng)
+        if tail:
+            text += point + spell(tail, rng)
+        x = parse(text)
+        expected = reference_parse(text)
+        assert (x.numerator, x.denominator) == \
+            (expected.numerator, expected.denominator)
+        assert type(x) is Sexa
+        assert_writes_as_reference(x)
+
+    @pytest.mark.parametrize("whole", WHOLE_EDGES.values(), ids=WHOLE_EDGES)
+    @pytest.mark.parametrize("frac", FRACTION_EDGES.values(),
+                             ids=FRACTION_EDGES)
+    def test_values_at_chunk_and_split_edges(self, whole, frac):
+        assert_writes_as_reference(whole + frac)
+        assert_writes_as_reference(-(whole + frac))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 9000), st.integers(0, 3000), st.integers(0, 3000),
+           st.integers(0, 9000), st.integers(1, 10**6))
+    def test_smooth_values_match_the_loop(self, bits, a, b, c, m):
+        # Numerators of up to 9000 bits over 2**a 3**b 5**c: fractional
+        # parts of odd and even k up to 3000 digits.
+        assert_writes_as_reference(
+            Fraction(m << bits | m, 2**a * 3**b * 5**c))
+
+    def test_long_literal_parses_in_bounded_time(self):
+        # 200 000 groups: about 11 s one group per step, under 0.5 s
+        # folded in pairs.
+        text = ",".join(["59", "0", "7", "30"] * 50_000)
+        start = time.perf_counter()
+        x = parse(text)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2, f"{elapsed:.2f} s"
+        # The four-group block 59,0,7,30 repeated 50 000 times.
+        block = ((59 * 60 + 0) * 60 + 7) * 60 + 30
+        assert x == block * (60**200_000 - 1) // (60**4 - 1)
 
 
 # -- values built without a second normalization ------------------------------

@@ -72,8 +72,8 @@ terms), ``sqrt_exact`` (roots of coprime squares are coprime), ``parse``
 ``Sexa(sexa)`` is its argument.  The functions that take a ``SexaLike``
 use a ``Fraction`` argument as it is.
 
-Three tables are kept between calls.  Two are built at import, in under
-1 ms: ``_GROUP_VALUES``, the value of each of the 70 group spellings the
+Three tables are kept between calls.  Two are built at import, in about
+0.3 ms: ``_GROUP_VALUES``, the value of each of the 70 group spellings the
 grammar accepts ("0".."59" and "00".."09"), and ``_DIGIT_PAIRS``, the
 3600 texts "0,0" to "59,59" (about 220 KiB).  The third is
 ``_BLOCK_PRODUCTS``, the product of each block's candidates, a constant
@@ -85,6 +85,7 @@ about 650 KiB and 0.1 s to build.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -356,7 +357,8 @@ _GROUP_VALUES = {**{f"{d:02}": d for d in range(10)},
                  **{str(d): d for d in range(60)}}
 #: The text of each pair of digits a*60 + b, "0,0" to "59,59", as
 #: ``render`` writes it.
-_DIGIT_PAIRS = tuple(f"{a},{b}" for a in range(60) for b in range(60))
+_DIGIT_PAIRS = tuple(map(",".join, itertools.product(map(str, range(60)),
+                                                     repeat=2)))
 
 
 def _malformed(text: str, s: str) -> MalformedLiteral:

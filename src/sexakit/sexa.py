@@ -39,16 +39,17 @@ the text ``render`` would write for its value, so a caller holding such
 a literal (a corpus expectation) can print it without rendering.  The
 fold and the split make each big-integer product or quotient one of two
 numbers of about one size.  On Python 3.11 (2 vCPU), ``parse`` of
-100k/200k/400k groups takes 0.14/0.32/0.81 s, about 2.4x per doubling
-(Karatsuba products), and ``render`` 0.41/1.5/5.8 s, still about 3.8x
-per doubling, because 3.11's long division is schoolbook.  Stripping 2,
-3 and 5 (``is_regular``, ``reciprocal``) takes one shift and O(log e)
-divisions per prime power p**e, each linear in the length of the number,
-so it keeps a quadratic term.  Rejecting an irregular number is the
-exception: naming the prime in ``IrregularDivisor``/``NonTerminating``
-searches the non-smooth part m for its smallest prime p among the
-integers coprime to 30, up to sqrt(m) when m is prime, or up to
-``_PRIME_SEARCH_LIMIT`` (10**6), whichever comes first.  It takes one
+100k/200k/400k groups takes 0.12/0.30/0.81 s, about 2.5x per doubling
+(Karatsuba products), and ``render`` 0.38/1.44/5.8 s, still about 3.8x
+per doubling, because the long division of 3.10 and 3.11 is schoolbook
+(about 3x on 3.12 and 3.13).  Stripping 2, 3 and 5 (``is_regular``,
+``reciprocal``) takes one shift and O(log e) divisions per prime power
+p**e, each linear in the length of the number, so it keeps a quadratic
+term.  Rejecting an irregular number is the exception: naming the
+prime in ``IrregularDivisor``/``NonTerminating`` searches the non-smooth
+part m for its smallest prime p among the integers coprime to 30, up to
+sqrt(m) when m is prime, or up to ``_PRIME_SEARCH_LIMIT`` (10**6),
+whichever comes first.  It takes one
 gcd of m with the product of each block of candidates (blocks of 8, 16,
 32, ... candidates, then 1024 at a time): at most 267 gcds, each of m
 and a product of at most about 20 400 bits, then at most one walk of one
@@ -73,8 +74,8 @@ terms), ``sqrt_exact`` (roots of coprime squares are coprime), ``parse``
 use a ``Fraction`` argument as it is.
 
 Three tables are kept between calls.  Two are built at import, in about
-0.3 ms: ``_GROUP_VALUES``, the value of each of the 70 group spellings the
-grammar accepts ("0".."59" and "00".."09"), and ``_DIGIT_PAIRS``, the
+0.3 ms: ``_GROUP_VALUES``, the value of each of the 70 group spellings
+the grammar accepts ("0".."59" and "00".."09"), and ``_DIGIT_PAIRS``, the
 3600 texts "0,0" to "59,59" (about 220 KiB).  The third is
 ``_BLOCK_PRODUCTS``, the product of each block's candidates, a constant
 of the prime search.  It is empty at import, and a block's product is

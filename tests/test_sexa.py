@@ -920,8 +920,8 @@ class TestDigitKernels:
         assert_writes_as_reference(-(whole + frac))
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 9000), st.integers(0, 3000), st.integers(0, 3000),
-           st.integers(0, 9000), st.integers(1, 10**6))
+    @given(st.integers(0, 9000), st.integers(0, 6000), st.integers(0, 3000),
+           st.integers(0, 3000), st.integers(1, 10**6))
     def test_smooth_values_match_the_loop(self, bits, a, b, c, m):
         # Numerators of up to 9000 bits over 2**a 3**b 5**c: fractional
         # parts of odd and even k up to 3000 digits.

@@ -9,10 +9,12 @@ A corpus file is line-oriented, 7-bit text.  Records open with
     expect step <label> = <literal> @ <line-tag>
     expect answer <name> = <literal> <unit>
 
-``#`` starts a comment.  A line tag is a tablet line reference like
-``obv.26`` or ``rev.19``; a trailing ``?`` marks a value the edition
-prints with "(?)" (replay still checks it, since the arithmetic does
-confirm it; the flag is carried through to the report).
+``#`` starts a comment.  ``procedure`` appears once in a record, and
+each given, param, step label and answer name at most once.  A line tag
+is a tablet line reference like ``obv.26`` or ``rev.19``, non-empty
+without its ``?``: a trailing ``?`` marks a value the edition prints
+with "(?)" (replay still checks it, since the arithmetic does confirm
+it; the flag is carried through to the report).
 
 ``PROCEDURES`` is the one table of procedures: each ``ProcedureSpec``
 gives a corpus name, the params and givens a record for it must carry,
@@ -213,52 +215,47 @@ def bundled_corpus_path() -> Path:
     return Path(resources.files("sexakit").joinpath(f"data/{_BUNDLED_NAME}"))
 
 
+#: What differs between the value fields, by kind: the usage message,
+#: the noun a repeat is reported under, and the reader of the literal.
+_VALUE_FIELDS = {
+    "given": ("given needs '<name> = <literal> <unit>'", "given",
+              parse_quantity),
+    "param": ("param needs '<name> = <literal>'", "param", parse),
+    "step": ("expect step needs '<label> = <literal> @ <line-tag>'",
+             "step label", parse),
+    "answer": ("expect answer needs '<name> = <literal> <unit>'", "answer",
+               parse_quantity),
+}
+
+
 class _ProblemBuilder:
     def __init__(self, pid: str, line_no: int):
         self.id = pid
         self.line_no = line_no
         self.procedure: ProcedureSpec | None = None
-        self.givens: dict[str, Quantity] = {}
-        self.parameters: dict[str, Sexa] = {}
-        self.steps: dict[str, ExpectedStep] = {}
-        self.answers: dict[str, Quantity] = {}
+        #: The record's values so far, one dict per kind of value field.
+        self.fields: dict[str, dict] = {kind: {} for kind in _VALUE_FIELDS}
         self.answer_texts: dict[str, str] = {}
 
     def finish(self) -> TabletProblem:
         if self.procedure is None:
             raise CorpusParseError(
                 f"problem {self.id} has no procedure", line=self.line_no)
+        fields = self.fields
         missing = [p for p in self.procedure.params
-                   if p not in self.parameters]
-        missing += [g for g in self.procedure.givens if g not in self.givens]
+                   if p not in fields["param"]]
+        missing += [g for g in self.procedure.givens
+                    if g not in fields["given"]]
         if missing:
             raise CorpusParseError(
                 f"problem {self.id} is missing fields: {', '.join(missing)}",
                 line=self.line_no)
         return TabletProblem(
-            id=self.id, procedure=self.procedure, givens=self.givens,
-            parameters=self.parameters,
-            expected_steps=tuple(self.steps.values()),
-            expected_answers=self.answers, answer_texts=self.answer_texts)
-
-
-def _check_new(table: dict, key: str, what: str, line_no: int) -> None:
-    if key in table:
-        raise CorpusParseError(f"duplicate {what} {key!r}", line=line_no)
-
-
-def _parse_field(parse: Callable[[str], Sexa | Quantity], text: str,
-                 line_no: int, line: str) -> Sexa | Quantity:
-    """``parse(text)``; a malformed literal is reported at its column.
-
-    The literal is searched for after the line's "=", so a literal that
-    also spells the field's name is not found in the name.
-    """
-    try:
-        return parse(text)
-    except MalformedLiteral as exc:
-        col = line.find(text, line.find("=") + 1) + 1
-        raise BadLiteral(str(exc), line=line_no, column=col or None) from exc
+            id=self.id, procedure=self.procedure, givens=fields["given"],
+            parameters=fields["param"],
+            expected_steps=tuple(fields["step"].values()),
+            expected_answers=fields["answer"],
+            answer_texts=self.answer_texts)
 
 
 def _answer_text(text: str, quantity: Quantity) -> str:
@@ -328,63 +325,51 @@ def load_corpus(path: str | os.PathLike | None = None) -> list[TabletProblem]:
         kind, rest = m.group("kind"), m.group("rest").strip()
         if kind == "procedure":
             name = rest.lstrip("= ").strip()
+            if builder.procedure is not None:
+                raise CorpusParseError(f"duplicate procedure {name!r}",
+                                       line=line_no)
             builder.procedure = PROCEDURES.get(name)
             if builder.procedure is None:
                 raise UnknownProcedure(f"unknown procedure {name!r}",
                                        line=line_no)
-        elif kind == "given":
-            name, _, value = rest.partition("=")
-            name, value = name.strip(), value.strip()
-            if not name or not value:
-                raise CorpusParseError("given needs '<name> = <literal> "
-                                       "<unit>'", line=line_no)
-            _check_new(builder.givens, name, "given", line_no)
-            builder.givens[name] = _parse_field(
-                parse_quantity, value, line_no, raw)
-        elif kind == "param":
-            name, _, value = rest.partition("=")
-            name, value = name.strip(), value.strip()
-            if not name or not value:
-                raise CorpusParseError("param needs '<name> = <literal>'",
-                                       line=line_no)
-            _check_new(builder.parameters, name, "param", line_no)
-            builder.parameters[name] = _parse_field(parse, value, line_no, raw)
-        else:  # expect
-            sub, _, tail = rest.partition(" ")
-            tail = tail.strip()
-            if sub == "step":
-                name, _, value = tail.partition("=")
-                name, value = name.strip(), value.strip()
-                literal, _, tag = value.partition("@")
-                literal, tag = literal.strip(), tag.strip()
-                if not name or not literal or not tag:
-                    raise CorpusParseError(
-                        "expect step needs '<label> = <literal> @ <line-tag>'",
-                        line=line_no)
-                _check_new(builder.steps, name, "step label", line_no)
-                step = _parse_field(parse, literal, line_no, raw)
-                builder.steps[name] = ExpectedStep(
-                    label=sys.intern(name), value=step,
-                    line=sys.intern(tag.rstrip("?")),
-                    uncertain=tag.endswith("?"),
-                    text=(literal if _CANONICAL.fullmatch(literal)
-                          else render(step)))
-            elif sub == "answer":
-                name, _, value = tail.partition("=")
-                name, value = name.strip(), value.strip()
-                if not name or not value:
-                    raise CorpusParseError(
-                        "expect answer needs '<name> = <literal> <unit>'",
-                        line=line_no)
-                _check_new(builder.answers, name, "answer", line_no)
-                name = sys.intern(name)
-                answer = _parse_field(parse_quantity, value, line_no, raw)
-                builder.answers[name] = answer
-                builder.answer_texts[name] = _answer_text(value, answer)
-            else:
+            continue
+        if kind == "expect":
+            kind, _, rest = rest.partition(" ")
+            if kind != "step" and kind != "answer":
                 raise CorpusParseError(
-                    f"expect must be 'step' or 'answer', got {sub!r}",
+                    f"expect must be 'step' or 'answer', got {kind!r}",
                     line=line_no)
+        # A value field: "<name> = <literal>", and for a step "@ <line-tag>".
+        usage, noun, read = _VALUE_FIELDS[kind]
+        name, _, literal = rest.partition("=")
+        name, literal = name.strip(), literal.strip()
+        tag = None
+        if kind == "step":
+            literal, _, tag = literal.partition("@")
+            literal, tag = literal.strip(), tag.strip()
+        if not name or not literal or tag is not None and not tag.rstrip("?"):
+            raise CorpusParseError(usage, line=line_no)
+        values = builder.fields[kind]
+        if name in values:
+            raise CorpusParseError(f"duplicate {noun} {name!r}", line=line_no)
+        try:
+            value = read(literal)
+        except MalformedLiteral as exc:
+            # Searched for after the "=", so a literal that also spells the
+            # field's name is not found in the name.
+            col = raw.find(literal, raw.find("=") + 1) + 1
+            raise BadLiteral(str(exc), line=line_no,
+                             column=col or None) from exc
+        name = sys.intern(name)
+        if kind == "step":
+            value = ExpectedStep(
+                label=name, value=value, line=sys.intern(tag.rstrip("?")),
+                uncertain=tag.endswith("?"),
+                text=(literal if _CANONICAL.fullmatch(literal)
+                      else render(value)))
+        elif kind == "answer":
+            builder.answer_texts[name] = _answer_text(literal, value)
+        values[name] = value
     flush()
     return problems
 

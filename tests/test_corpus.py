@@ -162,6 +162,11 @@ class TestLoad:
         ("[problem t.p1]\nparam A = 1\n", "procedure"),
         ("[problem t.p1]\nprocedure = quadratic\nparam A = 1\nparam B = 1\n"
          "param C = 1\nexpect step a = 1\n", "line-tag"),
+        # A tag that is only the "(?)" mark names no line.
+        ("[problem t.p1]\nprocedure = quadratic\nparam A = 1\nparam B = 1\n"
+         "param C = 1\nexpect step a = 1 @ ?\n", "line-tag"),
+        ("[problem t.p1]\nprocedure = quadratic\nparam A = 1\nparam B = 1\n"
+         "param C = 1\nexpect step a = 1 @ ??\n", "line-tag"),
         ("[problem t.p1]\nprocedure = quadratic\nparam A = 1\nparam B = 1\n"
          "param C = 1\nexpect step a = 1 @ x\nexpect step a = 2 @ y\n",
          "duplicate step"),
@@ -175,6 +180,8 @@ class TestLoad:
         ("given V = 1 volume-sar", "given 'V'"),
         ("param A = 2", "param 'A'"),
         ("expect answer u = 1 nindan", "answer 'u'"),
+        # Not the last procedure wins: the repeat is rejected by its name.
+        ("procedure = labor-depth", "procedure 'labor-depth'"),
     ])
     def test_repeated_key_rejected_with_line(self, tmp_path, line, what):
         text = ("[problem t.p1]\nprocedure = quadratic\nparam A = 1\n"
@@ -353,7 +360,7 @@ class TestEnlargedCanalSystem:
     def test_smt24_p2_values_in_tablet_order(self):
         x, y, trace = replay_smt24_p2(Sexa("0;10"), 12, 13, Sexa("1;15"))
         assert (x, y) == (Sexa("0;30"), Sexa("0;20"))
-        assert [render(m) for m in trace.magnitudes()] == [
+        assert [render(s.magnitude()) for s in trace] == [
             "16;15",      # rev.7
             "0;1,40",     # rev.8
             "16;13,20",   # rev.9

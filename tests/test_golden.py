@@ -15,8 +15,11 @@ the error text.  ``replay-noncanonical.corpus`` spells its values in
 ways the grammar allows but ``render`` does not write, with MISSING and
 MISMATCH rows of both kinds, to pin the canonical report text.
 ``replay-bad-literal.corpus`` has a literal that also spells its field's
-name, to pin the column of a bad literal.  A golden file changes only
-when the output is meant to change.
+name, to pin the column of a bad literal.
+``replay-duplicate-procedure.corpus`` names two procedures in one record
+and ``replay-empty-tag.corpus`` has a line tag that is only its "?", to
+pin the exit-2 error of each.  A golden file changes only when the
+output is meant to change.
 """
 
 from pathlib import Path
@@ -71,6 +74,8 @@ CASES = {
     "replay-noncanonical-json": NONCANONICAL + ["--json"],
     "replay-bad-literal": ["replay", "--all", "--corpus",
                            str(GOLDEN / "replay-bad-literal.corpus")],
+    **{case: ["replay", "--all", "--corpus", str(GOLDEN / f"{case}.corpus")]
+       for case in ("replay-duplicate-procedure", "replay-empty-tag")},
     "eval-oracle-huge": ["eval", f"1,{NINES} / 7", "--oracle"],
     "eval-recognize-huge": ["eval", f"1,{NINES} / 7", "--recognize"],
     "solve-quadratic-huge-negative": ["solve-quadratic", "--", "1", "0",

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import corpus as corpus_mod
@@ -63,7 +64,11 @@ _INPUT_ERRORS = (MalformedLiteral, ExpressionError, CorpusParseError,
 # -- expression evaluation -----------------------------------------------------
 
 _OPERATORS = {"+", "-", "*", "/", "(", ")"}
-_LITERAL_CHARS = set("0123456789,;:")
+#: One token after optional whitespace: a run of literal characters, an
+#: operator or one of its other spellings, or (second group) any other
+#: character, which is an error.
+_TOKEN_RE = re.compile(r"\s*(?:([0-9,;:]+|[-+*/()×·÷−])|(\S))")
+_SPELLINGS = {"×": "*", "·": "*", "÷": "/", "−": "-"}
 #: Deepest nesting of "(" and unary "-" that ``eval`` accepts; each level
 #: is at most four Python frames, so this stays well inside the recursion
 #: limit.
@@ -72,36 +77,10 @@ _MAX_NESTING = 100
 
 def _tokenize(text: str) -> list[str]:
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "×·":
-            tokens.append("*")
-            i += 1
-            continue
-        if ch == "÷":
-            tokens.append("/")
-            i += 1
-            continue
-        if ch == "−":
-            tokens.append("-")
-            i += 1
-            continue
-        if ch in _OPERATORS:
-            tokens.append(ch)
-            i += 1
-            continue
-        if ch in _LITERAL_CHARS:
-            j = i
-            while j < len(text) and text[j] in _LITERAL_CHARS:
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-            continue
-        raise ExpressionError(f"unexpected character {ch!r}")
+    for token, bad in _TOKEN_RE.findall(text):
+        if bad:
+            raise ExpressionError(f"unexpected character {bad!r}")
+        tokens.append(_SPELLINGS.get(token, token))
     return tokens
 
 

@@ -61,35 +61,28 @@ BREADTH_EXCESS = Sexa(1, 2)
 BREADTH_EXCESS_SHARE = Sexa(1, 12)
 
 
-def _expect(q: Quantity, dim: Dimension, name: str) -> Quantity:
+def _check(q: Quantity, dim: Dimension, name: str) -> None:
+    """``q`` is in ``dim`` and positive; else the first rule it breaks."""
     if q.dim is not dim:
         raise DimensionMismatch(
             f"{name} must be {dim.value}, got {q.dim.value}")
-    return q
-
-
-def _positive(q: Quantity, name: str) -> Quantity:
     if q.magnitude <= 0:
         raise NonPositiveDimension(f"{name} must be positive")
-    return q
 
 
 def trapezoid_cross_section(upper: Quantity, lower: Quantity,
                             depth: Quantity) -> Quantity:
     """S = z*(u + v)/2, a nindan-kus cross-section area."""
-    _positive(_expect(upper, Dimension.LENGTH_NINDAN, "upper breadth"),
-              "upper breadth")
-    _positive(_expect(lower, Dimension.LENGTH_NINDAN, "lower breadth"),
-              "lower breadth")
-    _positive(_expect(depth, Dimension.LENGTH_KUS, "depth"), "depth")
+    _check(upper, Dimension.LENGTH_NINDAN, "upper breadth")
+    _check(lower, Dimension.LENGTH_NINDAN, "lower breadth")
+    _check(depth, Dimension.LENGTH_KUS, "depth")
     return qmul(depth, upper + lower) * _HALF
 
 
 def prism_volume(section: Quantity, length: Quantity) -> Quantity:
     """V = x*S: sweep a cross-section along the canal length."""
-    _positive(_expect(section, Dimension.CROSS_SECTION, "cross-section"),
-              "cross-section")
-    _positive(_expect(length, Dimension.LENGTH_NINDAN, "length"), "length")
+    _check(section, Dimension.CROSS_SECTION, "cross-section")
+    _check(length, Dimension.LENGTH_NINDAN, "length")
     return qmul(length, section)
 
 
@@ -116,9 +109,8 @@ def breadths_from_constraints(upper: SexaLike, *,
 
 def length_from_volume(volume: Quantity, section: Quantity) -> Quantity:
     """x = V/S by reciprocal multiplication (S must be regular)."""
-    _positive(_expect(volume, Dimension.VOLUME_SAR, "volume"), "volume")
-    _positive(_expect(section, Dimension.CROSS_SECTION, "cross-section"),
-              "cross-section")
+    _check(volume, Dimension.VOLUME_SAR, "volume")
+    _check(section, Dimension.CROSS_SECTION, "cross-section")
     return qdiv(volume, section)
 
 
@@ -137,10 +129,9 @@ def depth_from_labor(total_water: Quantity, reach_length: SexaLike,
     cross-section for a 1-nindan slice), full cross-section via the canal
     constant, then depth = section/width and the water depth z' below it.
     """
-    _positive(_expect(total_water, Dimension.VOLUME_SAR, "total water"),
-              "total water")
-    _positive(_expect(workers, Dimension.WORKER_COUNT, "workers"), "workers")
-    _positive(_expect(width, Dimension.LENGTH_NINDAN, "width"), "width")
+    _check(total_water, Dimension.VOLUME_SAR, "total water")
+    _check(workers, Dimension.WORKER_COUNT, "workers")
+    _check(width, Dimension.LENGTH_NINDAN, "width")
     reach = Sexa(reach_length)
     if reach <= 0:
         raise NonPositiveDimension("reach length must be positive")

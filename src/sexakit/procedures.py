@@ -112,15 +112,6 @@ class StepTrace:
     def __iter__(self) -> Iterator[Step]:
         return iter(self.steps)
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def labels(self) -> list[str]:
-        return [s.label for s in self.steps]
-
-    def magnitudes(self) -> list[Sexa]:
-        return [s.magnitude() for s in self.steps]
-
     def __getitem__(self, label: str) -> TraceValue:
         return self.steps[self._index[label]].value
 

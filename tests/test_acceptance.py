@@ -73,7 +73,7 @@ def test_smt24_first_problem_chain(corpus):
     # Solver trace, exactly and in order (obv.21-33).
     u, trace = solve_quadratic_scribal(QuadraticProblem(
         Sexa("14;3,45"), Sexa("1,9;22,30"), Sexa("4;41,15")))
-    assert [render(m) for m in trace.magnitudes()] == [
+    assert [render(s.magnitude()) for s in trace] == [
         "34;41,15", "20,3;13,21,33,45", "1,5;55,4,41,15",
         "21,9;8,26,15", "35;37,30", "1,10;18,45", "5"]
     assert u == 5
@@ -96,7 +96,7 @@ def test_smt24_first_problem_chain(corpus):
 
 def test_smt24_second_problem_chain(corpus):
     x, y, trace = replay_smt24_p2(Sexa("0;10"), 12, 13, Sexa("1;15"))
-    values = [render(m) for m in trace.magnitudes()]
+    values = [render(s.magnitude()) for s in trace]
     assert_in_order(
         ["16;15", "0;1,40", "16;13,20", "0;30", "8;6,40", "0;21,40",
          "7;45", "6;30", "1", "7;30", "39", "46;30", "0;10", "0;5",
@@ -121,7 +121,7 @@ def test_smt25_depth_chain(corpus):
     depth, water_depth, trace = depth_from_labor(
         sar_to_volume_sar(6, "sar60"), 5,
         Quantity(Sexa("40,0"), W), Quantity(Sexa("0;30"), N))
-    assert [render(m) for m in trace.magnitudes()] == [
+    assert [render(s.magnitude()) for s in trace] == [
         "0;12", "1,12,0", "0;0,1,30", "1;48", "1;15", "2;15", "2",
         "4;30", "3;36"]
     assert depth == Quantity(Sexa("4;30"), K)

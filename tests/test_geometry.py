@@ -181,7 +181,7 @@ class TestDepthFromLabor:
             Quantity(Sexa("40,0"), W), nindan("0;30"))
         assert depth == kus("4;30")
         assert water_depth == kus("3;36")
-        assert [render(m) for m in trace.magnitudes()] == [
+        assert [render(s.magnitude()) for s in trace] == [
             "0;12",       # rev.27
             "1,12,0",     # rev.28
             "0;0,1,30",   # rev.29

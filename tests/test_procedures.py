@@ -51,9 +51,9 @@ class TestQuadratic:
     def test_smt24_p1_root_and_trace(self):
         u, trace = solve_quadratic_scribal(SMT24_P1)
         assert u == 5
-        assert trace.labels() == [
+        assert [s.label for s in trace] == [
             "half_B", "half_B_sq", "AC", "radicand", "root", "root_plus", "u"]
-        assert [render(m) for m in trace.magnitudes()] == [
+        assert [render(s.magnitude()) for s in trace] == [
             "34;41,15",             # obv.26
             "20,3;13,21,33,45",     # obv.27
             "1,5;55,4,41,15",       # obv.21
@@ -118,9 +118,9 @@ class TestSumDifference:
         x, y, trace = solve_sum_difference(
             SumDifferenceProblem(Sexa("0;10"), Sexa("0;10")))
         assert (x, y) == (Sexa("0;30"), Sexa("0;20"))
-        assert trace.labels() == [
+        assert [s.label for s in trace] == [
             "half_diff", "half_diff_sq", "radicand", "half_sum", "x", "y"]
-        assert [render(m) for m in trace.magnitudes()] == [
+        assert [render(s.magnitude()) for s in trace] == [
             "0;5", "0;0,25", "0;10,25", "0;25", "0;30", "0;20"]
 
     def test_equal_case(self):
@@ -256,7 +256,7 @@ class TestStepTrace:
         tail.record("a", Sexa(3))
         with pytest.raises(MalformedProblem):
             head.extend(tail)
-        assert head.labels() == ["a", "b"]
+        assert [s.label for s in head] == ["a", "b"]
         assert head["b"] == 2 and head["a"] == 1
 
     def test_index_follows_steps(self):

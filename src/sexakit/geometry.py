@@ -62,7 +62,7 @@ BREADTH_EXCESS_SHARE = Sexa(1, 12)
 
 
 def _check(q: Quantity, dim: Dimension, name: str) -> None:
-    """``q`` is in ``dim`` and positive; else the first rule it breaks."""
+    """Raise for the first rule ``q`` breaks: in ``dim``, then positive."""
     if q.dim is not dim:
         raise DimensionMismatch(
             f"{name} must be {dim.value}, got {q.dim.value}")

@@ -6,10 +6,10 @@ Its lines are drawn from field-line fragments (problem headers, the
 ``procedure``, ``given``, ``param``, ``expect step`` and ``expect
 answer`` fields with names, literals, units and line tags both valid
 and malformed, repeats included) and from arbitrary short lines, which
-may hold non-ASCII text or bytes that are not UTF-8.  ``load_corpus``
-must return a list of problems or raise a ``SexakitError`` (which the
-CLI maps to exit 2), and finish inside the deadline.  This complements
-``tests/test_cli_fuzz.py``, which never writes a corpus.
+may hold non-ASCII text.  ``load_corpus`` must return a list of problems
+or raise a ``SexakitError`` (which the CLI maps to exit 2), and finish
+inside the deadline.  This complements ``tests/test_cli_fuzz.py``, which
+never writes a corpus.
 """
 
 from datetime import timedelta
@@ -59,7 +59,7 @@ def field_lines(draw):
     return f"{kind} {draw(names)}{separator}{value}{comment}"
 
 
-#: A short line: mostly 7-bit text, now and then any text at all.
+#: A short line: 7-bit text, or any text at all.
 short_lines = st.one_of(st.text(st.characters(max_codepoint=127),
                                 max_size=12), st.text(max_size=12))
 corpus_texts = st.lists(st.one_of(field_lines(), short_lines),
@@ -91,7 +91,7 @@ def corpus_path(tmp_path_factory):
 @given(record_heads(), corpus_texts)
 def test_any_corpus_text_loads_or_raises_a_sexakit_error(
         corpus_path, head, text):
-    corpus_path.write_bytes((head + text).encode("utf-8", "surrogatepass"))
+    corpus_path.write_text(head + text, encoding="utf-8")
     try:
         problems = load_corpus(corpus_path)
     except SexakitError:

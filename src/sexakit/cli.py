@@ -262,6 +262,10 @@ def _cmd_geom_labor_depth(args) -> int:
 def _cmd_replay(args) -> int:
     problems = corpus_mod.load_corpus(args.corpus)
     if args.all:
+        if not problems:
+            # Nothing replayed is nothing verified: an empty or truncated
+            # corpus must not pass.
+            raise CorpusParseError("corpus has no [problem] records")
         selected = sorted(problems, key=lambda p: p.id)
     else:
         if args.problem is None:

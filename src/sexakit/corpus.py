@@ -9,12 +9,13 @@ A corpus file is line-oriented, 7-bit text.  Records open with
     expect step <label> = <literal> @ <line-tag>
     expect answer <name> = <literal> <unit>
 
-``#`` starts a comment.  ``procedure`` appears once in a record, and
-each given, param, step label and answer name at most once.  A line tag
-is a tablet line reference like ``obv.26`` or ``rev.19``, non-empty
-without its ``?``: a trailing ``?`` marks a value the edition prints
-with "(?)" (replay still checks it, since the arithmetic does confirm
-it; the flag is carried through to the report).
+``#`` starts a comment.  ``procedure`` appears once in a record, with
+one ``=`` before its name, and each given, param, step label and answer
+name at most once.  A line tag is a tablet line reference like
+``obv.26`` or ``rev.19``, non-empty without its ``?``: a trailing ``?``
+marks a value the edition prints with "(?)" (replay still checks it,
+since the arithmetic does confirm it; the flag is carried through to
+the report).
 
 ``PROCEDURES`` is the one table of procedures: each ``ProcedureSpec``
 gives a corpus name, the params and givens a record for it must carry,
@@ -324,7 +325,11 @@ def load_corpus(path: str | os.PathLike | None = None) -> list[TabletProblem]:
             raise CorpusParseError(f"unrecognized line {line!r}", line=line_no)
         kind, rest = m.group("kind"), m.group("rest").strip()
         if kind == "procedure":
-            name = rest.lstrip("= ").strip()
+            before, sep, name = rest.partition("=")
+            name = name.strip()
+            if before or not sep or not name or "=" in name:
+                raise CorpusParseError("procedure needs '= <name>'",
+                                       line=line_no)
             if builder.procedure is not None:
                 raise CorpusParseError(f"duplicate procedure {name!r}",
                                        line=line_no)

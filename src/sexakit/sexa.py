@@ -22,25 +22,35 @@ Every value here is immutable and every function pure (the tables kept
 between calls hold constants, see below); values are safe to share
 between threads.
 
-Cost model, for a value of n digit groups.  ``parse`` checks the whole
-literal with one compiled regex match, reads each group's value from
-``_GROUP_VALUES`` and folds the values into one integer in rounds: each
-round pairs neighbours as a*base + b and squares the base, until at most
-eight values are left to fold one by one.  Only a literal the regex
-refuses is walked group by group, to name its first fault.  ``render``,
+Cost model, for a value of n digit groups.  ``parse`` reads a literal
+in one pass, with no regex: it strips it, takes off one leading "-",
+splits it at its one radix point and its groups at ",", and reads each
+group's value from ``_GROUP_VALUES`` into one byte.  A group that is not
+a key there (an empty group, a second radix point, any other text)
+makes the literal malformed, and only then is it walked group by group
+to name its first fault.  Up to eight digits are folded one by one.
+Longer digits are folded eight at a time inside one integer that holds
+a digit in each byte (``_octets``): three word-parallel rounds over the
+whole integer join neighbouring lanes of 1, 2 and 4 bytes as
+high*60**w + low.  The eight-digit words are then folded in rounds
+that pair neighbours as a*base + b and square the base, until at most
+eight values are left to fold one by one.  A fractional part of k
+groups is reduced by one gcd of the value with 60**k.  ``render``,
 the one path from a value to its literal (``str``, ``format`` and
 ``repr`` call it), splits the scaled value into its integer and
 fractional parts and writes each from the low end, four digits per
 division by 60**4 (one CPython digit), as two entries of
 ``_DIGIT_PAIRS``; a part longer than 512 digits is first split in halves
 at 60**(m//2), and each half written the same way.  Its output language
-is one regex too, ``_CANONICAL``: a literal that matches it is already
+is one regex, ``_CANONICAL``: a literal that matches it is already
 the text ``render`` would write for its value, so a caller holding such
 a literal (a corpus expectation) can print it without rendering.  The
 fold and the split make each big-integer product or quotient one of two
-numbers of about one size.  On Python 3.11 (2 vCPU), ``parse`` of
-100k/200k/400k groups takes 0.12/0.30/0.81 s, about 2.5x per doubling
-(Karatsuba products), and ``render`` 0.38/1.44/5.8 s, still about 3.8x
+numbers of about one size.  On Python 3.11 (2 vCPU), ``parse`` of an
+integer literal of 100k/200k/400k random groups takes 0.04/0.10/0.29 s,
+about 2.5-3x per doubling (Karatsuba products).  The gcd is quadratic:
+a literal of as many fractional groups takes 0.32/1.19/4.7 s, about 4x
+per doubling.  ``render`` takes 0.38/1.44/5.8 s, still about 3.8x
 per doubling, because the long division of 3.10 and 3.11 is schoolbook
 (about 3x on 3.12 and 3.13).  Stripping 2, 3 and 5 (``is_regular``,
 ``reciprocal``) takes one shift and O(log e) divisions per prime power
@@ -90,6 +100,7 @@ import itertools
 import math
 import operator
 import re
+import struct
 from fractions import Fraction
 from typing import Union
 
@@ -340,12 +351,6 @@ class Sexa(Fraction):
         return f"Sexa({text!r})"
 
 
-#: One digit group as ``parse`` reads it: 0..59 in one or two ASCII digits.
-_GROUP = "[0-5]?[0-9]"
-#: The grammar ``parse`` accepts, after ``strip``: sign, integer groups,
-#: and the fractional groups after ";" or ":".
-_LITERAL = re.compile(
-    rf"(-?)({_GROUP}(?:,{_GROUP})*)(?:[;:]({_GROUP}(?:,{_GROUP})*))?")
 #: A digit as ``render`` writes it (no leading zero), and a nonzero one.
 _DIGIT, _NONZERO = "[1-5]?[0-9]", "(?:[1-5][0-9]|[1-9])"
 #: The language ``render`` writes: no ":", no leading zero group or digit,
@@ -353,7 +358,8 @@ _DIGIT, _NONZERO = "[1-5]?[0-9]", "(?:[1-5][0-9]|[1-9])"
 #: ``render(parse(t)) == t``.
 _CANONICAL = re.compile(
     rf"0|-?(?:{_NONZERO}(?:,{_DIGIT})*|0(?=;))(?:;(?:{_DIGIT},)*{_NONZERO})?")
-#: The value of each group ``_LITERAL`` accepts: "0".."59", "00".."09".
+#: The value of each digit group ``parse`` accepts, one or two ASCII
+#: digits valued 0..59: "0".."59" and "00".."09", and no other text.
 _GROUP_VALUES = {**{f"{d:02}": d for d in range(10)},
                  **{str(d): d for d in range(60)}}
 #: The text of each pair of digits a*60 + b, "0,0" to "59,59", as
@@ -363,7 +369,7 @@ _DIGIT_PAIRS = tuple(map(",".join, itertools.product(map(str, range(60)),
 
 
 def _malformed(text: str, s: str) -> MalformedLiteral:
-    """The error for a stripped literal s that ``_LITERAL`` refused: the
+    """The error for a stripped literal s that ``parse`` refused: the
     first fault met walking its sign, radix points and digit groups."""
     s = s.removeprefix("-")
     if not s:
@@ -394,18 +400,28 @@ def parse(text: str) -> Sexa:
     if not isinstance(text, str):
         raise MalformedLiteral(f"expected a string, got {type(text).__name__}")
     s = text.strip()
-    m = _LITERAL.fullmatch(s)
-    if m is None:
-        raise _malformed(text, s)
-    sign, head, tail = m.groups()
-    groups = (head + "," + tail if tail else head).split(",")
-    values, base = map(_GROUP_VALUES.__getitem__, groups), 60
-    if len(groups) > 8:
+    negative = s.startswith("-")
+    body = s[1:] if negative else s
+    head, point, tail = body.replace(":", ";").partition(";")
+    groups = head.split(",")
+    scale = 1
+    if point:
+        fraction = tail.split(",")
+        scale = 60 ** len(fraction)
+        groups += fraction
+    try:
+        # A second radix point, a sign or a blank left in a group, and
+        # an empty group are each a key missing here.
+        digits = bytes(map(_GROUP_VALUES.__getitem__, groups))
+    except KeyError:
+        raise _malformed(text, s) from None
+    values, base = digits, 60
+    if len(digits) > 8:
+        values, base = _octets(digits), 60 ** 8
         # Fold adjacent values in pairs, a*base + b, squaring the base
         # each round: every product is of two numbers of one size, so
         # the big-integer work is that of a few balanced products, not
         # one pass over the whole number per group.
-        values = list(values)
         while len(values) > 8:
             if len(values) & 1:
                 values.insert(0, 0)
@@ -415,11 +431,37 @@ def parse(text: str) -> Sexa:
     value = 0
     for d in values:
         value = value * base + d
-    if sign:
+    if negative:
         value = -value
-    scale = 60 ** (tail.count(",") + 1) if tail else 1
     g = math.gcd(value, scale)
     return _reduced(value // g, scale // g)
+
+
+#: The lanes of ``_octets``' three rounds: their width w in bytes, and
+#: eight bytes of the mask that keeps the low lane of each pair of lanes.
+_LANES = ((1, b"\0\xff" * 4), (2, b"\0\0\xff\xff" * 2),
+          (4, b"\0\0\0\0\xff\xff\xff\xff"))
+
+
+def _octets(digits: bytes) -> list[int]:
+    """Base-60 digits (one a byte, most significant first) as the values
+    of their eight-digit words, most significant first; the first word
+    takes the digits left over, behind zeros.
+
+    One integer holds every digit in its own byte, and zero bytes in
+    front fill it to whole eight-byte words.  Each round joins every
+    pair of w-byte lanes as high*60**w + low, in a few big-integer
+    operations on the whole integer.  A joined value is below
+    60**(2w) < 256**(2w), so no carry crosses into the next pair.  After
+    lanes of 1, 2 and 4 bytes each word holds its eight digits' value,
+    which ``struct`` reads out big-endian, whatever the host's order.
+    """
+    size = -(-len(digits) // 8) * 8
+    x = int.from_bytes(digits, "big")
+    for w, pattern in _LANES:
+        mask = int.from_bytes(pattern * (size // 8), "big")
+        x = ((x >> 8 * w) & mask) * 60 ** w + (x & mask)
+    return list(struct.unpack(f">{size // 8}Q", x.to_bytes(size, "big")))
 
 
 def _strip_smooth(n: int) -> tuple[int, dict[int, int]]:

@@ -254,6 +254,19 @@ class TestReplayCommand:
         assert code == EXIT_INPUT
         assert "61" in err
 
+    @pytest.mark.parametrize("text", ["", "# only a comment\n", "\n\n"])
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_corpus_without_records_exits_two(self, capsys, tmp_path, text,
+                                              flags):
+        # Replaying nothing verifies nothing: not a pass, in either mode.
+        path = tmp_path / "empty.corpus"
+        path.write_text(text)
+        code, out, err = run(capsys, "replay", "--all", "--corpus",
+                             str(path), *flags)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "error: corpus has no [problem] records\n"
+
     @pytest.mark.parametrize("target", ["missing", "directory", "latin1"])
     def test_unreadable_corpus_exits_two(self, capsys, tmp_path, target):
         path = {"missing": tmp_path / "missing.corpus",

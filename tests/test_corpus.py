@@ -152,6 +152,25 @@ class TestLoad:
         with pytest.raises(UnknownProcedure):
             load_corpus(path)
 
+    @pytest.mark.parametrize("line", [
+        "procedure quadratic", "procedure =  = quadratic", "procedure =",
+        "procedure quadratic =", "procedure == quadratic",
+        "procedure = quadratic = quadratic"])
+    def test_procedure_needs_one_equals_sign(self, tmp_path, line):
+        path = write_corpus(tmp_path, f"[problem t.p1]\n{line}\n")
+        with pytest.raises(CorpusParseError) as err:
+            load_corpus(path)
+        assert type(err.value) is CorpusParseError
+        assert str(err.value) == "line 2: procedure needs '= <name>'"
+
+    @pytest.mark.parametrize("line", [
+        "procedure = quadratic", "procedure=quadratic",
+        "procedure   =   quadratic  # the one spelling"])
+    def test_procedure_spacing_is_free(self, tmp_path, line):
+        path = write_corpus(tmp_path, f"[problem t.p1]\n{line}\n"
+                            "param A = 1\nparam B = 5\nparam C = 6\n")
+        assert load_corpus(path)[0].procedure is PROCEDURES["quadratic"]
+
     @pytest.mark.parametrize("text,fragment", [
         ("param A = 1\n", "outside"),
         ("[problem t.p1]\nprocedure = quadratic\nparam A = 1\nparam B = 1\n"

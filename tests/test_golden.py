@@ -16,10 +16,12 @@ ways the grammar allows but ``render`` does not write, with MISSING and
 MISMATCH rows of both kinds, to pin the canonical report text.
 ``replay-bad-literal.corpus`` has a literal that also spells its field's
 name, to pin the column of a bad literal.
-``replay-duplicate-procedure.corpus`` names two procedures in one record
-and ``replay-empty-tag.corpus`` has a line tag that is only its "?", to
-pin the exit-2 error of each.  A golden file changes only when the
-output is meant to change.
+``replay-duplicate-procedure.corpus`` names two procedures in one record,
+``replay-empty-tag.corpus`` has a line tag that is only its "?",
+``replay-procedure-usage.corpus`` has a procedure line without its "="
+and ``replay-no-records.corpus`` holds no record at all (replayed in
+text and in JSON), to pin the exit-2 error of each.  A golden file
+changes only when the output is meant to change.
 """
 
 from pathlib import Path
@@ -75,7 +77,10 @@ CASES = {
     "replay-bad-literal": ["replay", "--all", "--corpus",
                            str(GOLDEN / "replay-bad-literal.corpus")],
     **{case: ["replay", "--all", "--corpus", str(GOLDEN / f"{case}.corpus")]
-       for case in ("replay-duplicate-procedure", "replay-empty-tag")},
+       for case in ("replay-duplicate-procedure", "replay-empty-tag",
+                    "replay-procedure-usage", "replay-no-records")},
+    "replay-no-records-json": ["replay", "--all", "--json", "--corpus",
+                               str(GOLDEN / "replay-no-records.corpus")],
     "eval-oracle-huge": ["eval", f"1,{NINES} / 7", "--oracle"],
     "eval-recognize-huge": ["eval", f"1,{NINES} / 7", "--recognize"],
     "solve-quadratic-huge-negative": ["solve-quadratic", "--", "1", "0",

@@ -5,6 +5,7 @@ import math
 import operator
 import os
 import pickle
+import random
 import re
 import subprocess
 import sys
@@ -31,7 +32,6 @@ from sexakit.sexa import (
     _BLOCKS,
     _CANONICAL,
     _LAST_CANDIDATE,
-    _LITERAL,
     _PRIME_SEARCH_LIMIT,
     _WHEEL,
     Sexa,
@@ -50,6 +50,14 @@ from sexakit.sexa import (
     square,
 )
 from sexakit.units import Dimension, Quantity
+
+#: The grammar ``parse`` accepts, after ``strip``, as a regex: sign,
+#: integer groups, and the fractional groups after ";" or ":".  Each
+#: group is 0..59 in one or two ASCII digits.  ``parse`` reads literals
+#: without it; the tests hold it as the oracle of that grammar.
+_GROUP = "[0-5]?[0-9]"
+_LITERAL = re.compile(
+    rf"(-?)({_GROUP}(?:,{_GROUP})*)(?:[;:]({_GROUP}(?:,{_GROUP})*))?")
 
 
 def smooth_values(max_exp=6, max_num=10**6):
@@ -810,6 +818,21 @@ def reference_parse(text: str) -> Sexa:
     return _reduced(value // g, scale // g)
 
 
+def parsed(read, text):
+    """(numerator, denominator) of read(text), or its MalformedLiteral text."""
+    try:
+        x = read(text)
+    except MalformedLiteral as exc:
+        return str(exc)
+    assert type(x) is Sexa
+    return x.numerator, x.denominator
+
+
+def assert_parses_as_reference(text):
+    """parse and reference_parse give the same terms or the same error."""
+    assert parsed(parse, text) == parsed(reference_parse, text)
+
+
 def reference_digits(f: Fraction, k: int) -> str:
     """Canonical literal of f, for the smallest k with f's denominator
     dividing 60**k (``_expansion_exponent``).
@@ -899,6 +922,24 @@ FRACTION_EDGES = {
 }
 
 
+#: Group counts at the edges of the eight-digit words that long literals
+#: are read in: the last count folded one by one (8) and the first read
+#: as words (9), around two and three words and around 64, 72, 128 and
+#: 512 digits, where the words' own pair fold changes its shape.
+LANE_COUNTS = [8, 9, 15, 16, 17, 23, 24, 25, 63, 64, 65, 71, 72, 73, 127, 128,
+               129, 511, 512, 513, 514]
+#: Digits of n groups: random; all 0; all 59; and runs of five 0s and
+#: five 59s, which cross every lane and word boundary.
+DIGIT_RUNS = {
+    "random": lambda n, rng: [rng.randrange(60) for _ in range(n)],
+    "zeros": lambda n, rng: [0] * n,
+    "nines": lambda n, rng: [59] * n,
+    "runs": lambda n, rng: [0 if i // 5 % 2 else 59 for i in range(n)],
+}
+#: The literal alphabet, and text around it that no literal holds.
+LITERAL_TEXT = "0123456789,;:- +\n\u0665"
+
+
 class TestDigitKernels:
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(["", "-"]), long_digits(),
@@ -915,6 +956,53 @@ class TestDigitKernels:
             (expected.numerator, expected.denominator)
         assert type(x) is Sexa
         assert_writes_as_reference(x)
+
+    @pytest.mark.parametrize("kind", DIGIT_RUNS)
+    @pytest.mark.parametrize("n", LANE_COUNTS)
+    def test_lane_edges_parse_as_the_reference(self, n, kind):
+        rng = random.Random(n)
+        digits = DIGIT_RUNS[kind](n, rng)
+        for cut in sorted({1, n // 2, n - 1, n}):
+            head, tail = digits[:cut], digits[cut:]
+            for sign in ("", "-"):
+                for point in (";", ":"):
+                    text = sign + spell(head, rng)
+                    if tail:
+                        text += point + spell(tail, rng)
+                    assert_parses_as_reference(text)
+                    assert_parses_as_reference(f" \t{text}\n")
+
+    @pytest.mark.parametrize("n", LANE_COUNTS)
+    @pytest.mark.parametrize("bad", ["60", "", "123", "5 ", "+1", "-1",
+                                     "1;2", "\u0665", "1\n2"])
+    def test_a_bad_group_at_a_lane_edge_fails_as_the_reference(self, n, bad):
+        rng = random.Random(n)
+        groups = [str(rng.randrange(60)) for _ in range(n)]
+        for at in sorted({0, 7, 8, n // 2, n - 1} & set(range(n))):
+            text = ",".join(groups[:at] + [bad] + groups[at + 1:])
+            assert_parses_as_reference(text)
+            assert_parses_as_reference(text[:n] + ";" + text[n:])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=LITERAL_TEXT, max_size=40))
+    @example("")
+    @example(" - ")
+    @example("-5;")
+    @example("1;2:3")
+    @example("\u0665")
+    def test_any_text_parses_as_the_reference(self, text):
+        assert_parses_as_reference(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.from_regex(_LITERAL, fullmatch=True), st.integers(0, 10**6),
+           st.text(alphabet=LITERAL_TEXT, max_size=3))
+    def test_spliced_literals_parse_as_the_reference(self, text, at, splice):
+        # A literal of the grammar, long or short, with a few characters
+        # of the alphabet put in at one place: valid or not, parse and
+        # the reference agree.
+        at %= len(text) + 1
+        assert_parses_as_reference(text)
+        assert_parses_as_reference(text[:at] + splice + text[at:])
 
     @pytest.mark.parametrize("whole", WHOLE_EDGES.values(), ids=WHOLE_EDGES)
     @pytest.mark.parametrize("frac", FRACTION_EDGES.values(),

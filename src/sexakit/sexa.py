@@ -622,8 +622,7 @@ def is_regular(x: SexaLike) -> bool:
     f = _as_fraction(x)
     if f == 0:
         raise ZeroInput("0 has no regularity status (no reciprocal)")
-    return (_strip_smooth(abs(f.numerator))[0] == 1
-            and _strip_smooth(f.denominator)[0] == 1)
+    return _strip_smooth(abs(f.numerator) * f.denominator)[0] == 1
 
 
 def reciprocal(x: SexaLike) -> Sexa:
@@ -631,10 +630,11 @@ def reciprocal(x: SexaLike) -> Sexa:
     f = _as_fraction(x)
     if f == 0:
         raise ZeroInput("0 has no reciprocal")
-    for part in (abs(f.numerator), f.denominator):
-        leftover, _ = _strip_smooth(part)
-        if leftover != 1:
-            raise IrregularDivisor(Sexa(f), _smallest_prime_factor(leftover))
+    # One strip of the two terms' product: its leftover holds the smallest
+    # prime factor of either.
+    leftover, _ = _strip_smooth(abs(f.numerator) * f.denominator)
+    if leftover != 1:
+        raise IrregularDivisor(Sexa(f), _smallest_prime_factor(leftover))
     n, d = f.numerator, f.denominator
     return _reduced(d, n) if n > 0 else _reduced(-d, -n)
 

@@ -598,6 +598,21 @@ class TestBoundedPrimeSearch:
         assert f"prime {SEMIPRIME}" not in message
         assert f"factor {SEMIPRIME}" not in message
 
+    @pytest.mark.parametrize("value", [
+        Sexa(11, 7),
+        Sexa(7, 11),
+        Sexa(13, 77),
+        Sexa(-13, 7),
+        # The numerator alone names no prime; the denominator's 7 is named.
+        Sexa(SEMIPRIME, 7),
+    ], ids=repr)
+    def test_irregular_divisor_names_the_smallest_prime_of_either_term(
+            self, value):
+        with pytest.raises(IrregularDivisor) as err:
+            reciprocal(value)
+        assert err.value.prime == 7
+        assert is_regular(value) is False
+
     def test_repr_of_semiprime_denominator(self):
         start = time.perf_counter()
         assert repr(Sexa(1, SEMIPRIME)) == f"Sexa(1, {SEMIPRIME})"
@@ -616,7 +631,7 @@ class TestBoundedPrimeSearch:
          "-61/420 has no finite base-60 expansion "
          "(denominator contains prime 7)"),
         (lambda: reciprocal(Sexa(-13, 7)),
-         "-13/7 is not a regular number (prime factor 13); "
+         "-13/7 is not a regular number (prime factor 7); "
          "it has no finite reciprocal"),
     ])
     def test_message_names_a_non_terminating_value_as_p_over_q(

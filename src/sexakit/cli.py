@@ -30,7 +30,7 @@ from . import corpus as corpus_mod
 from .errors import (
     CorpusParseError,
     ExpressionError,
-    MalformedLiteral,
+    InputError,
     SexakitError,
     UnknownProblem,
     ZeroDivisor,
@@ -56,9 +56,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_MATH = 3
-
-_INPUT_ERRORS = (MalformedLiteral, ExpressionError, CorpusParseError,
-                 UnknownProblem)
 
 
 # -- expression evaluation -----------------------------------------------------
@@ -368,12 +365,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except SexakitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATH
+        return EXIT_INPUT if isinstance(exc, InputError) else EXIT_MATH
 
 
 if __name__ == "__main__":

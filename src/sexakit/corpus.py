@@ -84,6 +84,7 @@ __all__ = [
     "ReplayReport",
     "bundled_corpus_path",
     "load_corpus",
+    "find_problem",
     "replay",
 ]
 

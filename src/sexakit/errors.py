@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-Grouped the way the CLI maps them to exit codes: input/grammar problems
-(exit 2) versus violated mathematical preconditions (exit 3).
+Grouped the way the CLI maps them to exit codes: every ``InputError``
+(malformed input: a literal, an expression, a corpus file, a problem id)
+is exit 2, and every other ``SexakitError`` (a violated mathematical
+precondition) is exit 3.
 """
 
 from __future__ import annotations
@@ -11,17 +13,21 @@ class SexakitError(Exception):
     """Base class for every error raised by this package."""
 
 
-# -- input / grammar ---------------------------------------------------------
+# -- input / grammar: exit 2 -------------------------------------------------
 
-class MalformedLiteral(SexakitError, ValueError):
+class InputError(SexakitError):
+    """Malformed input; the CLI exits 2 for it, 3 for any other error."""
+
+
+class MalformedLiteral(InputError, ValueError):
     """Text does not match the sexagesimal literal grammar."""
 
 
-class ExpressionError(SexakitError, ValueError):
+class ExpressionError(InputError, ValueError):
     """Infix expression does not match the calculator grammar."""
 
 
-class CorpusParseError(SexakitError):
+class CorpusParseError(InputError):
     """A corpus file is structurally invalid."""
 
     def __init__(self, message: str, line: int | None = None,
@@ -45,14 +51,14 @@ class UnknownProcedure(CorpusParseError):
     """A corpus problem names a procedure this engine does not implement."""
 
 
-class UnknownProblem(SexakitError, KeyError):
+class UnknownProblem(InputError, KeyError):
     """A requested problem id is not in the loaded corpus."""
 
     # KeyError's str quotes its argument; print the message as it is.
     __str__ = Exception.__str__
 
 
-# -- mathematical preconditions ----------------------------------------------
+# -- mathematical preconditions: exit 3 --------------------------------------
 
 class ZeroInput(SexakitError, ZeroDivisionError):
     """Zero where a nonzero value is required (reciprocal, regularity test)."""

@@ -1,10 +1,12 @@
 """Command-line surface: subcommands, modes, and the frozen exit codes."""
 
+import inspect
 import json
 import time
 
 import pytest
 
+from sexakit import cli, errors
 from sexakit.cli import (
     EXIT_INPUT,
     EXIT_MATH,
@@ -292,3 +294,31 @@ class TestReplayCommand:
         code, out, _ = run(capsys, "replay", "alt.p1")
         assert code == EXIT_OK
         assert "alt.p1 PASS" in out
+
+
+#: The errors behind exit 2: ``InputError`` and everything under it.
+INPUT_ERRORS = {"InputError", "MalformedLiteral", "ExpressionError",
+                "CorpusParseError", "BadLiteral", "UnknownProcedure",
+                "UnknownProblem"}
+SEXAKIT_ERRORS = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                  if issubclass(cls, errors.SexakitError)]
+
+
+class TestExitCodes:
+    def test_input_family_is_every_input_error(self):
+        assert {cls.__name__ for cls in SEXAKIT_ERRORS
+                if issubclass(cls, errors.InputError)} == INPUT_ERRORS
+
+    @pytest.mark.parametrize("cls", SEXAKIT_ERRORS, ids=lambda c: c.__name__)
+    def test_every_error_maps_to_its_exit_code(self, capsys, monkeypatch,
+                                               cls):
+        def command(args):
+            # Built without its __init__, so no class needs its own
+            # arguments here; the message is the one argument.
+            raise cls.__new__(cls, "boom")
+
+        monkeypatch.setattr(cli, "_cmd_recip", command)
+        code, out, err = run(capsys, "recip", "1")
+        assert code == (EXIT_INPUT if cls.__name__ in INPUT_ERRORS
+                        else EXIT_MATH)
+        assert (out, err) == ("", "error: boom\n")

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import sexakit
+from sexakit import corpus, geometry, procedures, sexa, units
 from sexakit.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
@@ -78,3 +79,35 @@ MODULES = [importlib.import_module(f"sexakit.{info.name}")
 def test_every_export_resolves(module):
     for name in getattr(module, "__all__", ()):
         assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+#: Every name the package exported when its __init__ listed them by hand.
+EXPORTED_BEFORE = {
+    "errors",
+    "Sexa", "parse", "render",
+    "halve", "square", "sqrt_exact", "reciprocal", "is_regular",
+    "Dimension", "Quantity", "KUS_PER_NINDAN",
+    "qmul", "qdiv", "sar_to_volume_sar", "parse_quantity",
+    "Step", "StepTrace", "QuadraticProblem", "SumDifferenceProblem",
+    "solve_quadratic_scribal", "solve_sum_difference",
+    "divide_by_recognition", "replay_smt24_p2",
+    "CanalConstant", "SMALL_CANAL_CONSTANT",
+    "trapezoid_cross_section", "prism_volume",
+    "breadths_from_constraints", "length_from_volume", "depth_from_labor",
+    "PROCEDURES", "ProcedureSpec", "ExpectedStep", "TabletProblem",
+    "CheckRow", "ReplayReport", "bundled_corpus_path", "load_corpus",
+    "find_problem", "replay",
+}
+
+
+def test_package_exports_are_the_module_lists():
+    assert sexakit.__all__ == [
+        "errors", *sexa.__all__, *units.__all__, *procedures.__all__,
+        *geometry.__all__, *corpus.__all__]
+    assert len(set(sexakit.__all__)) == len(sexakit.__all__)
+    for name in sexakit.__all__:
+        assert hasattr(sexakit, name), name
+
+
+def test_every_earlier_export_remains():
+    assert EXPORTED_BEFORE <= set(sexakit.__all__)

@@ -292,10 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = with_json(sub.add_parser("eval", help="evaluate an expression"))
     p.add_argument("expression")
-    p.add_argument("--recognize", action="store_true",
-                   help="allow irregular divisors when the quotient is finite")
-    p.add_argument("--oracle", action="store_true",
-                   help="unrestricted exact rational division")
+    division = p.add_mutually_exclusive_group()
+    division.add_argument(
+        "--recognize", action="store_true",
+        help="allow irregular divisors when the quotient is finite")
+    division.add_argument("--oracle", action="store_true",
+                          help="unrestricted exact rational division")
     p.set_defaults(func=_cmd_eval)
 
     p = with_json(sub.add_parser("recip", help="reciprocal of a regular number"))

@@ -63,6 +63,14 @@ class TestEvalExpression:
         code, out, _ = run(capsys, "eval", "1 / 7", "--oracle")
         assert (code, out.strip()) == (EXIT_OK, "1/7")
 
+    @pytest.mark.parametrize("flags", [["--oracle", "--recognize"],
+                                       ["--recognize", "--oracle"]])
+    def test_recognize_and_oracle_are_exclusive(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "1;30/7", *flags])
+        assert exc.value.code == EXIT_INPUT
+        assert "not allowed with" in capsys.readouterr().err
+
     def test_division_by_zero(self, capsys):
         for flags in ([], ["--recognize"], ["--oracle"]):
             code, _, _ = run(capsys, "eval", "1 / 0", *flags)

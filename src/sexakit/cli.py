@@ -36,6 +36,7 @@ from .errors import (
     ZeroDivisor,
 )
 from .geometry import (
+    SMALL_CANAL_CONSTANT,
     CanalConstant,
     depth_from_labor,
     prism_volume,
@@ -50,7 +51,7 @@ from .procedures import (
     solve_sum_difference,
 )
 from .sexa import Sexa, reciprocal, render, sqrt_exact
-from .units import Dimension, Quantity, sar_to_volume_sar
+from .units import _VOLUME_ALIASES, Dimension, Quantity, sar_to_volume_sar
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -345,10 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("reach", help="nindan of canal per worker")
     p.add_argument("workers")
     p.add_argument("width", help="canal width in nindan")
-    p.add_argument("--unit", choices=["volume-sar", "sar60", "susi"],
+    p.add_argument("--unit", choices=list(_VOLUME_ALIASES),
                    default="volume-sar", help="unit of the water volume")
-    p.add_argument("--constant", default="0;48",
-                   help="canal constant z'/z (default 0;48)")
+    p.add_argument("--constant", default=render(SMALL_CANAL_CONSTANT.ratio),
+                   help="canal constant z'/z (default %(default)s)")
     p.add_argument("--trace", action="store_true")
     p.set_defaults(func=_cmd_geom_labor_depth)
 

@@ -73,8 +73,9 @@ _rule(_W, _V, _V)       # volume-per-worker times workers is a volume
 _DIV = {(result, b): r for (b, r), result in _MUL.items()}
 
 _UNIT_TO_DIM = {d.value: d for d in Dimension}
-# Input-only spellings that scale into volume-sar.
-_VOLUME_ALIASES = {"sar60": Sexa(3600), "susi": Sexa(60), "volume-sar": Sexa(1)}
+# The spellings of a volume and their scale into volume-sar; the CLI's
+# --unit offers them in this order.
+_VOLUME_ALIASES = {"volume-sar": Sexa(1), "sar60": Sexa(3600), "susi": Sexa(60)}
 
 
 @dataclass(frozen=True)
@@ -168,9 +169,9 @@ def parse_quantity(text: str) -> Quantity:
             f"{text!r}: expected '<literal> <unit>'")
     literal, unit = parts
     magnitude = parse(literal)
-    if unit in ("sar60", "susi"):
-        return sar_to_volume_sar(magnitude, unit)
     dim = _UNIT_TO_DIM.get(unit)
-    if dim is None:
-        raise MalformedLiteral(f"{text!r}: unknown unit {unit!r}")
-    return Quantity(magnitude, dim)
+    if dim is not None:
+        return Quantity(magnitude, dim)
+    if unit in _VOLUME_ALIASES:
+        return sar_to_volume_sar(magnitude, unit)
+    raise MalformedLiteral(f"{text!r}: unknown unit {unit!r}")

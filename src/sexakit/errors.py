@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
-Grouped the way the CLI maps them to exit codes: every ``InputError``
-(malformed input: a literal, an expression, a corpus file, a problem id)
-is exit 2, and every other ``SexakitError`` (a violated mathematical
-precondition) is exit 3.
+Grouped the way the CLI maps them to exit codes: ``InputError`` is the
+one class behind exit 2 (malformed input: a literal, an expression, a
+corpus file, a problem id), and every other ``SexakitError`` is a
+violated mathematical precondition, exit 3.
 """
 
 from __future__ import annotations
@@ -109,8 +109,8 @@ class IrregularDivisor(SexakitError):
     """Divisor is not regular, so it has no finite reciprocal.
 
     ``value`` is a ``Sexa``, written as in ``NonTerminating``.  ``prime``
-    is the smallest prime factor other than 2, 3, 5, or None when that
-    prime lies above the bounded search.
+    is the smallest prime factor of either term other than 2, 3, 5, or
+    None when that prime lies above the bounded search.
     """
 
     def __init__(self, value, prime: int | None):

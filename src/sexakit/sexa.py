@@ -67,21 +67,23 @@ block that divides the shared factor, not m.  Past the limit the error
 names no prime (``.prime`` is None).
 
 Small values (a few groups, as in a tablet replay) cost bookkeeping more
-than arithmetic, so ``Sexa`` does its own.  When the other operand is a
-Sexa, a Fraction or an int (bool included), ``+ - * /``, their reflected
-forms and ``== < <= > >=`` read its two terms directly (a ``type(x) is``
-test first, then ``isinstance``) and compute on integers, reducing as
+than arithmetic, so ``Sexa`` does its own.  When the other operand's
+type is exactly Sexa, Fraction or int, ``+ - * /``, their reflected
+forms and ``== < <= > >=`` read its two terms directly (after one
+``type(x) is`` test each) and compute on integers, reducing as
 ``Fraction``'s operators do: cross gcds for a product or quotient, one
 gcd of the denominators and one more for a sum or difference.
 ``_reduced`` then sets the result's two slots directly, with no second
-normalization and no throwaway ``Fraction``.  Any other operand goes to
-``Fraction``'s own method, so a float raises ``TypeError`` in arithmetic
-and compares as it does with a ``Fraction``, and an unknown type gets
+normalization and no throwaway ``Fraction``.  Any other operand (a bool,
+a subclass) goes to ``Fraction``'s own method, and its result through
+``Sexa()``, so a float raises ``TypeError`` in arithmetic and compares
+as it does with a ``Fraction``, and an unknown type gets
 ``NotImplemented``.  Negation, ``abs``, ``reciprocal`` (which swaps the
 terms), ``sqrt_exact`` (roots of coprime squares are coprime), ``parse``
 (one gcd) and ``Sexa(fraction)`` build their results the same way, and
 ``Sexa(sexa)`` is its argument.  The functions that take a ``SexaLike``
-use a ``Fraction`` argument as it is.
+use a ``Fraction`` argument as it is and build any other with
+``Sexa()``, so each refuses a float and parses a literal string.
 
 Three tables are kept between calls.  Two are built at import, in about
 0.3 ms: ``_GROUP_VALUES``, the value of each of the 70 group spellings
@@ -168,14 +170,11 @@ def _reduced(n: int, d: int) -> Sexa:
 
 
 def _as_fraction(x: SexaLike) -> Fraction:
-    """x as it is when it is a Fraction (a Sexa is one), else Fraction(x)."""
-    return x if type(x) is Sexa or isinstance(x, Fraction) else Fraction(x)
+    """x as it is when it is a Fraction (a Sexa is one), else Sexa(x)."""
+    return x if type(x) is Sexa or isinstance(x, Fraction) else Sexa(x)
 
 
 def _wrap(value):
-    if type(value) is Fraction:
-        # Fraction's operators return lowest terms: reuse them as they are.
-        return _reduced(value._numerator, value._denominator)
     if value is NotImplemented:
         return NotImplemented
     if isinstance(value, float):
@@ -231,9 +230,10 @@ def _le(na: int, da: int, nb: int, db: int) -> bool:
 def _operators(kernel, fraction_forward, fraction_reverse, wrap=_wrap):
     """The methods for ``a op b`` with a Sexa on the left and on the right.
 
-    With a Sexa, Fraction or int (bool included) as the other operand,
-    both compute ``kernel`` on the two values' terms.  Any other operand
-    goes to the Fraction method, and its result through ``wrap``.
+    When the other operand's type is exactly Sexa, Fraction or int, both
+    compute ``kernel`` on the two values' terms.  Any other operand (a
+    bool or a subclass too) goes to the Fraction method, and its result
+    through ``wrap``.
     """
     def forward(a, b):
         t = type(b)
@@ -242,9 +242,6 @@ def _operators(kernel, fraction_forward, fraction_reverse, wrap=_wrap):
                           b._numerator, b._denominator)
         if t is int:
             return kernel(a._numerator, a._denominator, b, 1)
-        if isinstance(b, (int, Fraction)):
-            return kernel(a._numerator, a._denominator,
-                          b.numerator, b.denominator)
         return wrap(fraction_forward(a, b))
 
     def reverse(b, a):
@@ -254,9 +251,6 @@ def _operators(kernel, fraction_forward, fraction_reverse, wrap=_wrap):
                           b._numerator, b._denominator)
         if t is int:
             return kernel(a, 1, b._numerator, b._denominator)
-        if isinstance(a, (int, Fraction)):
-            return kernel(a.numerator, a.denominator,
-                          b._numerator, b._denominator)
         return wrap(fraction_reverse(b, a))
 
     for method, fraction_method in ((forward, fraction_forward),

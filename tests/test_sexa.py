@@ -1067,6 +1067,14 @@ COMPARISONS = (operator.eq, operator.ne, operator.lt, operator.le,
                operator.gt, operator.ge)
 
 
+class IntSub(int):
+    """An int subclass: Sexa's operators send it to Fraction's."""
+
+
+class FractionSub(Fraction):
+    """A Fraction subclass that is not a Sexa."""
+
+
 def outcome(call):
     """("value", result) or ("raises", exception type) of call()."""
     try:
@@ -1096,6 +1104,25 @@ class TestReducedConstruction:
                 assert_like_fraction(other / sa, other / fa)
             if other:
                 assert_like_fraction(sa / other, fa / other)
+
+    @given(ratios, st.integers(-10**6, 10**6))
+    def test_subclass_operands_match_fraction(self, a, k):
+        # A bool or a subclass of int or Fraction goes to Fraction's own
+        # method: the result has its value, as a Sexa when a Sexa method
+        # answers.  A Fraction subclass on the left answers first, so
+        # there the result is Fraction's own, type and all.
+        fa, sa = Fraction(*a), Sexa(*a)
+        for other in (IntSub(k), FractionSub(k, 7), k > 0):
+            for op in (operator.add, operator.sub, operator.mul,
+                       operator.truediv):
+                if op is not operator.truediv or other:
+                    assert_like_fraction(op(sa, other), op(fa, other))
+                if op is not operator.truediv or fa:
+                    got, want = op(other, sa), op(other, fa)
+                    if isinstance(other, Fraction):
+                        assert type(got) is type(want) and got == want
+                    else:
+                        assert_like_fraction(got, want)
 
     @given(ratios, st.integers(-4, 4))
     def test_powers_match_fraction(self, a, e):
@@ -1144,6 +1171,21 @@ class TestReducedConstruction:
             with pytest.raises(TypeError):
                 base ** Sexa(1, 2)
 
+    @pytest.mark.parametrize("function", [render, is_regular, reciprocal,
+                                          sqrt_exact])
+    @pytest.mark.parametrize("x,like", [
+        (1.5, TypeError), (float("nan"), TypeError),
+        ("1;30", Sexa("1;30")), ("0.5", MalformedLiteral),
+        (Decimal("0.5"), Fraction(1, 2))])
+    def test_sexalike_argument_is_built_with_sexa(self, function, x, like):
+        # What Sexa() refuses, each refuses; what it builds, each takes.
+        if isinstance(like, type):
+            with pytest.raises(like):
+                function(x)
+        else:
+            assert outcome(lambda: function(x)) == outcome(
+                lambda: function(like))
+
     def test_sexa_argument_is_returned_as_is(self):
         x = Sexa("1,9;22,30")
         assert Sexa(x) is x
@@ -1181,7 +1223,9 @@ class TestReducedConstruction:
         fa, sa = Fraction(*a), Sexa(*a)
         for other, plain in ((Sexa(*b), Fraction(*b)),
                              (Fraction(*b), Fraction(*b)),
-                             (b[0], b[0]), (b[0] > 0, b[0] > 0)):
+                             (FractionSub(*b), Fraction(*b)),
+                             (b[0], b[0]), (IntSub(b[0]), b[0]),
+                             (b[0] > 0, b[0] > 0)):
             for op in COMPARISONS:
                 assert op(sa, other) is op(fa, plain)
                 assert op(other, sa) is op(plain, fa)
@@ -1201,6 +1245,9 @@ class TestReducedConstruction:
         lambda: Sexa(1, 2) / Sexa(0),
         lambda: Sexa(1, 2) / Fraction(0),
         lambda: Sexa(1, 2) / False,
+        lambda: Sexa(1, 2) / IntSub(0),
+        lambda: Sexa(1, 2) / FractionSub(0),
+        lambda: IntSub(1) / Sexa(0),
         lambda: 0 / Sexa(0),
         lambda: Fraction(1) / Sexa(0),
         lambda: Sexa(0) / Sexa(0),

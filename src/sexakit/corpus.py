@@ -42,7 +42,6 @@ import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -214,7 +213,7 @@ _FIELD_RE = re.compile(
 
 
 def bundled_corpus_path() -> Path:
-    return Path(resources.files("sexakit").joinpath(f"data/{_BUNDLED_NAME}"))
+    return Path(__file__).parent / "data" / _BUNDLED_NAME
 
 
 #: What differs between the value fields, by kind: the usage message,
@@ -340,7 +339,8 @@ def load_corpus(path: str | os.PathLike | None = None) -> list[TabletProblem]:
                                        line=line_no)
             continue
         if kind == "expect":
-            kind, _, rest = rest.partition(" ")
+            # The sub-kind ends at the first run of whitespace.
+            kind, rest = (rest.split(maxsplit=1) + ["", ""])[:2]
             if kind != "step" and kind != "answer":
                 raise CorpusParseError(
                     f"expect must be 'step' or 'answer', got {kind!r}",
@@ -534,38 +534,33 @@ PROCEDURES: dict[str, ProcedureSpec] = {spec.name: spec for spec in (
 )}
 
 
+def _check(kind: str, label: str, text: str, expected, got,
+           write: Callable[[object], str], line: str | None = None,
+           uncertain: bool = False) -> CheckRow:
+    """The row for one expectation: MISSING when nothing was got, else
+    MATCH or MISMATCH by exact equality.  Exactly equal values print
+    identically, so only a MISMATCH writes the value got, with ``write``;
+    every other row prints the expectation's settled ``text``."""
+    if got is None:
+        status, got_text = "MISSING", None
+    elif got == expected:
+        status, got_text = "MATCH", text
+    else:
+        status, got_text = "MISMATCH", write(got)
+    return CheckRow(kind, label, status, text, got_text, line, uncertain)
+
+
 def replay(problem: TabletProblem) -> ReplayReport:
     """Run a problem's procedure, substitute its answers back into the
     problem's equations, and check every expectation exactly."""
     trace, answers = problem.procedure.run(problem)
     with _stage(problem, "verify"):
         problem.procedure.verify(problem, answers)
-    # Exactly equal values print identically: only a MISMATCH writes the
-    # value got; every other row prints the expectation's settled text.
-    rows: list[CheckRow] = []
-    for expected in problem.expected_steps:
-        text = expected.text
-        if expected.label not in trace:
-            rows.append(CheckRow("step", expected.label, "MISSING", text,
-                                 None, expected.line, expected.uncertain))
-            continue
-        value = trace[expected.label]
-        got = value.magnitude if isinstance(value, Quantity) else value
-        if got == expected.value:
-            status, got_text = "MATCH", text
-        else:
-            status, got_text = "MISMATCH", render(got)
-        rows.append(CheckRow("step", expected.label, status, text, got_text,
-                             expected.line, expected.uncertain))
-    for name, expected_q in problem.expected_answers.items():
-        text = problem.answer_texts[name]
-        got_q = answers.get(name)
-        if got_q is None:
-            rows.append(CheckRow("answer", name, "MISSING", text, None))
-            continue
-        if got_q == expected_q:
-            status, got_text = "MATCH", text
-        else:
-            status, got_text = "MISMATCH", str(got_q)
-        rows.append(CheckRow("answer", name, status, text, got_text))
+    got = {step.label: step.magnitude() for step in trace}
+    rows = [_check("step", e.label, e.text, e.value, got.get(e.label), render,
+                   e.line, e.uncertain) for e in problem.expected_steps]
+    rows += [_check("answer", name, problem.answer_texts[name], expected,
+                    answers.get(name), str)
+             for name, expected in problem.expected_answers.items()]
     return ReplayReport(problem.id, tuple(rows))
+

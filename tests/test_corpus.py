@@ -171,6 +171,21 @@ class TestLoad:
                             "param A = 1\nparam B = 5\nparam C = 6\n")
         assert load_corpus(path)[0].procedure is PROCEDURES["quadratic"]
 
+    @pytest.mark.parametrize("gap", [" ", "\t", " \t ", "\t\t"])
+    def test_any_whitespace_ends_a_field_kind(self, tmp_path, gap):
+        # "expect"'s sub-kind ends at a run of whitespace too, as the
+        # field's own kind does.
+        path = write_corpus(tmp_path, (
+            "[problem t.p1]\nprocedure = quadratic\n"
+            f"param{gap}A = 1\nparam B = 5\nparam C = 6\n"
+            f"expect{gap}step{gap}u = 6 @ obv.1\n"
+            f"expect answer{gap}u = 6 nindan\n"))
+        problem = load_corpus(path)[0]
+        assert problem.parameters["A"] == 1
+        assert problem.expected_steps == (ExpectedStep("u", Sexa(6), "obv.1"),)
+        assert problem.expected_answers == {
+            "u": Quantity(Sexa(6), Dimension.LENGTH_NINDAN)}
+
     @pytest.mark.parametrize("text,fragment", [
         ("param A = 1\n", "outside"),
         ("[problem t.p1]\nprocedure = quadratic\nparam A = 1\nparam B = 1\n"

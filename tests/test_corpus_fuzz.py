@@ -5,11 +5,11 @@ Each example writes one corpus file and hands it to ``load_corpus``.
 Its lines are drawn from field-line fragments (problem headers, the
 ``procedure``, ``given``, ``param``, ``expect step`` and ``expect
 answer`` fields with names, literals, units and line tags both valid
-and malformed, repeats included) and from arbitrary short lines, which
-may hold non-ASCII text.  ``load_corpus`` must return a list of problems
-or raise a ``SexakitError`` (which the CLI maps to exit 2), and finish
-inside the deadline.  This complements ``tests/test_cli_fuzz.py``, which
-never writes a corpus.
+and malformed, repeats included, spaced with blanks and tabs) and from
+arbitrary short lines, which may hold non-ASCII text.  ``load_corpus``
+must return a list of problems or raise a ``SexakitError`` (which the
+CLI maps to exit 2), and finish inside the deadline.  This complements
+``tests/test_cli_fuzz.py``, which never writes a corpus.
 """
 
 from datetime import timedelta
@@ -54,9 +54,11 @@ def field_lines(draw):
         value += " " + draw(st.sampled_from(UNITS))
     elif kind == "expect step":
         value += " @ " + draw(st.sampled_from(TAGS))
-    separator = draw(st.sampled_from([" = ", "=", " ", " == "]))
+    separator = draw(st.sampled_from([" = ", "=", " ", " == ", "\t=\t"]))
     comment = draw(st.sampled_from(["", "  # note", "#"]))
-    return f"{kind} {draw(names)}{separator}{value}{comment}"
+    gap = draw(st.sampled_from([" ", "\t", " \t"]))
+    return f"{kind.replace(' ', gap)}{gap}{draw(names)}{separator}{value}" \
+           f"{comment}"
 
 
 #: A short line: 7-bit text, or any text at all.

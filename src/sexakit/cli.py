@@ -258,6 +258,8 @@ def _cmd_geom_labor_depth(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    if args.all and args.problem is not None:
+        raise UnknownProblem("give a problem id or --all, not both")
     problems = corpus_mod.load_corpus(args.corpus)
     if args.all:
         if not problems:

@@ -72,6 +72,7 @@ CASES = {
     "sqrt-not-square": ["sqrt", "2"],
     "replay-unknown-id": ["replay", "nosuch"],
     "replay-no-id": ["replay"],
+    "replay-id-and-all": ["replay", "nosuch", "--all"],
     "replay-noncanonical": NONCANONICAL,
     "replay-noncanonical-json": NONCANONICAL + ["--json"],
     "replay-bad-literal": ["replay", "--all", "--corpus",

@@ -156,8 +156,9 @@ def qdiv(a: Quantity, b: Quantity) -> Quantity:
 def sar_to_volume_sar(count: SexaLike, unit: str = "volume-sar") -> Quantity:
     """Normalize a volume given in šár/šūši/volume-sar to volume-sar."""
     if unit not in _VOLUME_ALIASES:
-        raise MalformedLiteral(
-            f"unknown volume unit {unit!r} (expected sar60, susi or volume-sar)")
+        *rest, last = sorted(_VOLUME_ALIASES)
+        raise MalformedLiteral(f"unknown volume unit {unit!r} "
+                               f"(expected {', '.join(rest)} or {last})")
     return Quantity(Sexa(count) * _VOLUME_ALIASES[unit], Dimension.VOLUME_SAR)
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from sexakit import units
 from sexakit.errors import (
     DimensionMismatch,
     IrregularDivisor,
@@ -55,8 +56,17 @@ class TestConversions:
         assert q == Quantity(expected, V)
 
     def test_unknown_volume_unit(self):
-        with pytest.raises(MalformedLiteral):
+        with pytest.raises(MalformedLiteral) as err:
             sar_to_volume_sar(1, "bushels")
+        assert str(err.value) == ("unknown volume unit 'bushels' "
+                                  "(expected sar60, susi or volume-sar)")
+
+    def test_unknown_volume_unit_names_every_spelling(self, monkeypatch):
+        monkeypatch.setitem(units._VOLUME_ALIASES, "gur", Sexa(5))
+        with pytest.raises(MalformedLiteral) as err:
+            sar_to_volume_sar(1, "bushels")
+        for spelling in units._VOLUME_ALIASES:
+            assert spelling in str(err.value)
 
 
 class TestQmul:

@@ -563,4 +563,3 @@ def replay(problem: TabletProblem) -> ReplayReport:
                     answers.get(name), str)
              for name, expected in problem.expected_answers.items()]
     return ReplayReport(problem.id, tuple(rows))
-

@@ -83,7 +83,8 @@ terms), ``sqrt_exact`` (roots of coprime squares are coprime), ``parse``
 (one gcd) and ``Sexa(fraction)`` build their results the same way, and
 ``Sexa(sexa)`` is its argument.  The functions that take a ``SexaLike``
 use a ``Fraction`` argument as it is and build any other with
-``Sexa()``, so each refuses a float and parses a literal string.
+``Sexa()``, so each refuses a float, parses a literal string and
+refuses a NaN or infinite ``Decimal`` with ``MalformedLiteral``.
 
 Three tables are kept between calls.  Two are built at import, in about
 0.3 ms: ``_GROUP_VALUES``, the value of each of the 70 group spellings
@@ -103,6 +104,7 @@ import math
 import operator
 import re
 import struct
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -286,7 +288,15 @@ class Sexa(Fraction):
             if isinstance(value, float):
                 raise TypeError("Sexa cannot be built from a float; "
                                 "use a literal string or integer ratio")
-        return super().__new__(cls, value, denominator)
+        try:
+            return super().__new__(cls, value, denominator)
+        except (ValueError, OverflowError):
+            # Fraction reads a Decimal by as_integer_ratio, which refuses
+            # a NaN with ValueError and an infinity with OverflowError.
+            if isinstance(value, Decimal) and not value.is_finite():
+                raise MalformedLiteral(
+                    f"{value!r}: not a finite number") from None
+            raise
 
     # Closed arithmetic: every result is a Sexa again.
     __add__, __radd__ = _operators(_add, Fraction.__add__, Fraction.__radd__)

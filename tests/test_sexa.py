@@ -20,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 import sexakit
 from sexakit import sexa
 from sexakit.errors import (
+    InputError,
     IrregularDivisor,
     MalformedLiteral,
     NegativeRadicand,
@@ -1171,6 +1172,19 @@ class TestReducedConstruction:
         else:
             assert outcome(lambda: function(x)) == outcome(
                 lambda: function(like))
+
+    @pytest.mark.parametrize("function", [Sexa, render, is_regular,
+                                          reciprocal, sqrt_exact])
+    @pytest.mark.parametrize("x", [Decimal("NaN"), Decimal("-NaN"),
+                                   Decimal("sNaN"), Decimal("Infinity"),
+                                   Decimal("-Infinity")])
+    def test_non_finite_decimal_is_a_malformed_literal(self, function, x):
+        # Still a ValueError, as Fraction's own refusal of a NaN is.
+        with pytest.raises(MalformedLiteral) as info:
+            function(x)
+        assert isinstance(info.value, InputError)
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == f"{x!r}: not a finite number"
 
     def test_sexa_argument_is_returned_as_is(self):
         x = Sexa("1,9;22,30")

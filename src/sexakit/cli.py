@@ -22,7 +22,6 @@ mismatch, 2 malformed input, 3 violated mathematical precondition.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
@@ -176,7 +175,11 @@ def evaluate_expression(text: str, mode: str = "scribal") -> Sexa:
 
 def _print_value(value: Sexa, args) -> int:
     text = render(value, fraction_fallback=getattr(args, "oracle", False))
-    print(json.dumps({"value": text}) if args.json else text)
+    if args.json:
+        # Imported under --json only: a text run does not pay for json.
+        import json
+        text = json.dumps({"value": text})
+    print(text)
     return EXIT_OK
 
 
@@ -200,6 +203,7 @@ def _print_result(args, values: dict[str, Sexa | Quantity],
         result["unit"] = quantities[0].dim.value
     if trace is not None:
         result.update(trace.to_dict())
+    import json
     print(json.dumps(result))
     return EXIT_OK
 
@@ -273,6 +277,7 @@ def _cmd_replay(args) -> int:
         selected = [corpus_mod.find_problem(problems, args.problem)]
     reports = [corpus_mod.replay(p) for p in selected]
     if args.json:
+        import json
         print(json.dumps([r.to_dict() for r in reports]))
     else:
         for report in reports:

@@ -41,10 +41,10 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator
 
+from ._record import Record, setfield
 from .errors import (
     BadLiteral,
     CorpusParseError,
@@ -93,8 +93,7 @@ _BUNDLED_NAME = "susa_excavations.corpus"
 _Outcome = tuple[StepTrace, dict[str, Quantity]]
 
 
-@dataclass(frozen=True)
-class ProcedureSpec:
+class ProcedureSpec(Record):
     """A procedure that corpus records name, and how to replay it.
 
     A record must carry every name in ``params`` and ``givens``.
@@ -106,11 +105,17 @@ class ProcedureSpec:
     ``replay`` runs it as the ``verify`` stage.  Every procedure has one.
     """
 
-    name: str
-    params: tuple[str, ...]
-    givens: tuple[str, ...]
-    run: Callable[[TabletProblem], _Outcome]
-    verify: Callable[[TabletProblem, dict[str, Quantity]], None]
+    __slots__ = ("name", "params", "givens", "run", "verify")
+
+    def __init__(self, name: str, params: tuple[str, ...],
+                 givens: tuple[str, ...],
+                 run: Callable[[TabletProblem], _Outcome],
+                 verify: Callable[[TabletProblem, dict[str, Quantity]], None]):
+        setfield(self, "name", name)
+        setfield(self, "params", params)
+        setfield(self, "givens", givens)
+        setfield(self, "run", run)
+        setfield(self, "verify", verify)
 
     @property
     def value(self) -> str:
@@ -118,56 +123,71 @@ class ProcedureSpec:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class ExpectedStep:
+class ExpectedStep(Record):
     """A step value the tablet states, at its line.
 
     ``text`` is the value as the report prints it, ``render(value)``: the
     corpus literal itself when it is canonical.  It is settled once, when
-    the step is built, and takes no part in equality.
+    the step is built, and takes no part in equality or the repr.
     """
 
-    label: str
-    value: Sexa
-    line: str
-    uncertain: bool = False
-    text: str = field(default=None, repr=False, compare=False)
+    __slots__ = ("label", "value", "line", "uncertain", "text")
+    _fields = __slots__[:-1]
 
-    def __post_init__(self):
-        if self.text is None:
-            object.__setattr__(self, "text", render(self.value))
+    def __init__(self, label: str, value: Sexa, line: str,
+                 uncertain: bool = False, text: str | None = None):
+        setfield(self, "label", label)
+        setfield(self, "value", value)
+        setfield(self, "line", line)
+        setfield(self, "uncertain", uncertain)
+        setfield(self, "text", render(value) if text is None else text)
 
 
-@dataclass(frozen=True)
-class TabletProblem:
+class TabletProblem(Record):
     """A corpus record.  ``answer_texts`` holds each expected answer as the
     report prints it, ``str(quantity)``, settled as ``ExpectedStep.text``
-    is."""
+    is, and likewise takes no part in equality or the repr."""
 
-    id: str
-    procedure: ProcedureSpec
-    givens: dict[str, Quantity]
-    parameters: dict[str, Sexa]
-    expected_steps: tuple[ExpectedStep, ...]
-    expected_answers: dict[str, Quantity]
-    answer_texts: dict[str, str] = field(default=None, repr=False,
-                                         compare=False)
+    __slots__ = ("id", "procedure", "givens", "parameters", "expected_steps",
+                 "expected_answers", "answer_texts")
+    _fields = __slots__[:-1]
 
-    def __post_init__(self):
-        if self.answer_texts is None:
-            object.__setattr__(self, "answer_texts", {
-                name: str(q) for name, q in self.expected_answers.items()})
+    def __init__(self, id: str, procedure: ProcedureSpec,
+                 givens: dict[str, Quantity], parameters: dict[str, Sexa],
+                 expected_steps: tuple[ExpectedStep, ...],
+                 expected_answers: dict[str, Quantity],
+                 answer_texts: dict[str, str] | None = None):
+        setfield(self, "id", id)
+        setfield(self, "procedure", procedure)
+        setfield(self, "givens", givens)
+        setfield(self, "parameters", parameters)
+        setfield(self, "expected_steps", expected_steps)
+        setfield(self, "expected_answers", expected_answers)
+        if answer_texts is None:
+            answer_texts = {name: str(q)
+                            for name, q in expected_answers.items()}
+        setfield(self, "answer_texts", answer_texts)
 
 
-@dataclass(frozen=True)
-class CheckRow:
-    kind: str              # "step" | "answer"
-    label: str
-    status: str            # "MATCH" | "MISMATCH" | "MISSING"
-    expected: str
-    got: str | None
-    line: str | None = None
-    uncertain: bool = False
+class CheckRow(Record):
+    """One checked expectation of a replay: a step or an answer, its
+    status ("MATCH", "MISMATCH" or "MISSING"), the texts expected and
+    got (None when MISSING), and for a step its tablet line and whether
+    the edition marks the value uncertain."""
+
+    __slots__ = ("kind", "label", "status", "expected", "got", "line",
+                 "uncertain")
+
+    def __init__(self, kind: str, label: str, status: str, expected: str,
+                 got: str | None, line: str | None = None,
+                 uncertain: bool = False):
+        setfield(self, "kind", kind)
+        setfield(self, "label", label)
+        setfield(self, "status", status)
+        setfield(self, "expected", expected)
+        setfield(self, "got", got)
+        setfield(self, "line", line)
+        setfield(self, "uncertain", uncertain)
 
     def to_text(self, problem_id: str) -> str:
         label = self.label if self.kind == "step" else f"answer:{self.label}"
@@ -184,10 +204,14 @@ class CheckRow:
         return d
 
 
-@dataclass(frozen=True)
-class ReplayReport:
-    problem_id: str
-    rows: tuple[CheckRow, ...]
+class ReplayReport(Record):
+    """The checked rows of one problem's replay."""
+
+    __slots__ = ("problem_id", "rows")
+
+    def __init__(self, problem_id: str, rows: tuple[CheckRow, ...]):
+        setfield(self, "problem_id", problem_id)
+        setfield(self, "rows", rows)
 
     @property
     def passed(self) -> bool:

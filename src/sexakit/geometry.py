@@ -11,8 +11,7 @@ hydraulics behind it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record, setfield
 from .errors import (
     DimensionMismatch,
     InconsistentConstraint,
@@ -35,21 +34,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CanalConstant:
+class CanalConstant(Record):
     """Ratio of reserved-water depth to canal depth (z'/z).
 
     Attested constants are strictly below 1; ratio = 1 (water to the
     brim) is allowed as the degenerate case.
     """
 
-    ratio: Sexa
+    __slots__ = ("ratio",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "ratio", Sexa(self.ratio))
-        if not 0 < self.ratio <= 1:
+    def __init__(self, ratio: SexaLike):
+        ratio = Sexa(ratio)
+        if not 0 < ratio <= 1:
             raise InconsistentConstraint(
                 "water level constant must lie in (0, 1]")
+        setfield(self, "ratio", ratio)
 
 
 #: The "constant of a small canal": z'/z = 0;48 = 4/5.

@@ -24,9 +24,9 @@ the tablet shows the result but not the lookup that produced it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Union
 
+from ._record import Record, setfield
 from .errors import (
     MalformedProblem,
     NegativeRadicand,
@@ -59,11 +59,16 @@ __all__ = [
 TraceValue = Union[Sexa, Quantity]
 
 
-@dataclass(frozen=True)
-class Step:
-    label: str
-    value: TraceValue
-    source: str = "derived"
+class Step(Record):
+    """One labelled value of a trace, and where it came from."""
+
+    __slots__ = ("label", "value", "source")
+
+    def __init__(self, label: str, value: TraceValue,
+                 source: str = "derived"):
+        setfield(self, "label", label)
+        setfield(self, "value", value)
+        setfield(self, "source", source)
 
     def magnitude(self) -> Sexa:
         """The bare numeric value, unit stripped."""
@@ -79,20 +84,24 @@ class Step:
         return d
 
 
-@dataclass
-class StepTrace:
+class StepTrace(Record):
     """Ordered, uniquely-labelled record of intermediate values.
 
     A label index kept beside ``steps`` makes ``record`` (with its
     duplicate check), lookup and ``in`` constant-time, so a trace of n
     steps costs O(n) to build, not O(n**2).  Append through ``record``
     only; the index does not see edits made to ``steps`` directly.
+    Unlike the other records a trace grows: its fields can be assigned,
+    and it has no hash.
     """
 
-    steps: list[Step] = field(default_factory=list)
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("steps", "_index")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
-    def __post_init__(self):
+    def __init__(self, steps: list[Step] | None = None):
+        self.steps = [] if steps is None else steps
         self._index = {}
         for i, step in enumerate(self.steps):
             self._index.setdefault(step.label, i)
@@ -131,35 +140,32 @@ class StepTrace:
         return {"steps": [s.to_dict() for s in self.steps]}
 
 
-@dataclass(frozen=True)
-class QuadraticProblem:
+class QuadraticProblem(Record):
     """Coefficients of a*u^2 - b*u = c with a > 0 (a is the "false area")."""
 
-    a: Sexa
-    b: Sexa
-    c: Sexa
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Sexa(self.a))
-        object.__setattr__(self, "b", Sexa(self.b))
-        object.__setattr__(self, "c", Sexa(self.c))
-        if self.a <= 0:
+    def __init__(self, a: SexaLike, b: SexaLike, c: SexaLike):
+        a, b, c = Sexa(a), Sexa(b), Sexa(c)
+        if a <= 0:
             raise MalformedProblem(
                 "leading coefficient must be positive (no linear fallback)")
+        setfield(self, "a", a)
+        setfield(self, "b", b)
+        setfield(self, "c", c)
 
 
-@dataclass(frozen=True)
-class SumDifferenceProblem:
+class SumDifferenceProblem(Record):
     """Recover x >= y >= 0 from diff = x - y and prod = x*y."""
 
-    diff: Sexa
-    prod: Sexa
+    __slots__ = ("diff", "prod")
 
-    def __post_init__(self):
-        object.__setattr__(self, "diff", Sexa(self.diff))
-        object.__setattr__(self, "prod", Sexa(self.prod))
-        if self.diff < 0:
+    def __init__(self, diff: SexaLike, prod: SexaLike):
+        diff, prod = Sexa(diff), Sexa(prod)
+        if diff < 0:
             raise MalformedProblem("difference must be nonnegative")
+        setfield(self, "diff", diff)
+        setfield(self, "prod", prod)
 
 
 def solve_quadratic_scribal(p: QuadraticProblem) -> tuple[Sexa, StepTrace]:

@@ -14,10 +14,10 @@ input spellings only and normalize to volume-sar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from ._record import Record, setfield
 from .errors import DimensionMismatch, MalformedLiteral, ZeroDivisor
 from .sexa import Sexa, SexaLike, parse, reciprocal, render
 
@@ -78,17 +78,17 @@ _UNIT_TO_DIM = {d.value: d for d in Dimension}
 _VOLUME_ALIASES = {"volume-sar": Sexa(1), "sar60": Sexa(3600), "susi": Sexa(60)}
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(Record):
     """An exact magnitude tagged with a dimension."""
 
-    magnitude: Sexa
-    dim: Dimension
+    __slots__ = ("magnitude", "dim")
 
-    def __post_init__(self):
-        object.__setattr__(self, "magnitude", Sexa(self.magnitude))
-        if not isinstance(self.dim, Dimension):
-            raise DimensionMismatch(f"not a dimension: {self.dim!r}")
+    def __init__(self, magnitude: SexaLike, dim: Dimension):
+        magnitude = Sexa(magnitude)
+        if not isinstance(dim, Dimension):
+            raise DimensionMismatch(f"not a dimension: {dim!r}")
+        setfield(self, "magnitude", magnitude)
+        setfield(self, "dim", dim)
 
     def __add__(self, other: "Quantity") -> "Quantity":
         if not isinstance(other, Quantity):

@@ -2,10 +2,14 @@
 
 import inspect
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import sexakit
 from sexakit import cli, errors
 from sexakit.cli import (
     EXIT_INPUT,
@@ -232,6 +236,28 @@ class TestReplayCommand:
         payload = json.loads(out)
         assert payload[0]["problem"] == "smt24.p1"
         assert payload[0]["pass"] is True
+
+    def test_cold_start_imports_only_what_the_command_uses(self):
+        # A fresh interpreter without site: importing the CLI pulls in
+        # neither dataclasses nor inspect (nor json), and a text replay
+        # leaves json unimported; --json then imports it.
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import sexakit.cli\n"
+            "print(*sorted({'dataclasses', 'inspect', 'json'}\n"
+            "              & (set(sys.modules) - before)), sep=',')\n"
+            "import contextlib, io\n"
+            "for argv in (['replay', '--all'], ['replay', '--all', '--json']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = sexakit.cli.main(argv)\n"
+            "    print(code, 'json' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(sexakit.__file__))
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["", "0 False", "0 True"]
 
     def test_unknown_problem(self, capsys):
         code, _, err = run(capsys, "replay", "nosuch")

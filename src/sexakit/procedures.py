@@ -89,10 +89,12 @@ class StepTrace(Record):
 
     A label index kept beside ``steps`` makes ``record`` (with its
     duplicate check), lookup and ``in`` constant-time, so a trace of n
-    steps costs O(n) to build, not O(n**2).  Append through ``record``
-    only; the index does not see edits made to ``steps`` directly.
-    Unlike the other records a trace grows: its fields can be assigned,
-    and it has no hash.
+    steps costs O(n) to build, not O(n**2).  A trace keeps its own list,
+    a copy of the ``steps`` it is built from, so a copied trace grows
+    apart from the original.  Append through ``record`` only; the index
+    does not see edits made to ``steps`` directly.  Unlike the other
+    records a trace grows: its fields can be assigned, and it has no
+    hash.
     """
 
     __slots__ = ("steps", "_index")
@@ -101,7 +103,7 @@ class StepTrace(Record):
     __hash__ = None
 
     def __init__(self, steps: list[Step] | None = None):
-        self.steps = [] if steps is None else steps
+        self.steps = [] if steps is None else list(steps)
         self._index = {}
         for i, step in enumerate(self.steps):
             self._index.setdefault(step.label, i)

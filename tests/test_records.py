@@ -201,9 +201,11 @@ def test_pickle_copy_and_deepcopy(case):
         assert values(other, case.fields) == list(case.fields.values())
 
 
-def test_a_rebuilt_trace_keeps_its_label_index():
+def test_a_copied_trace_keeps_its_label_index_and_grows_apart():
     trace = StepTrace([STEP])
-    for other in (pickle.loads(pickle.dumps(trace)), copy.deepcopy(trace)):
+    for other in (pickle.loads(pickle.dumps(trace)), copy.copy(trace),
+                  copy.deepcopy(trace), StepTrace(trace.steps)):
         assert "u" in other and other["u"] == Sexa(5)
         other.record("v", Sexa(6))
-        assert other["v"] == Sexa(6) and "v" not in trace
+        assert other["v"] == Sexa(6)
+        assert "v" not in trace and trace.steps == [STEP]

@@ -32,12 +32,13 @@ class Record:
     """
 
     __slots__ = ()
+    _fields = None
 
     def __init_subclass__(cls):
         super().__init_subclass__()
         cls.__match_args__ = tuple(
             name for name in cls.__slots__ if not name.startswith("_"))
-        if "_fields" not in cls.__dict__:
+        if cls._fields is None:
             cls._fields = cls.__match_args__
         cls._key = attrgetter(*cls._fields)
 

@@ -40,9 +40,10 @@ from __future__ import annotations
 import os
 import re
 import sys
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterator
+from types import MappingProxyType
 
 from ._record import Record, setfield
 from .errors import (
@@ -146,11 +147,13 @@ class ExpectedStep(Record):
 class TabletProblem(Record):
     """A corpus record.  ``answer_texts`` holds each expected answer as the
     report prints it, ``str(quantity)``, settled as ``ExpectedStep.text``
-    is, and likewise takes no part in equality or the repr."""
+    is, and likewise takes no part in equality or the repr.  Its four
+    mappings are read-only views of its own copies, and it has no hash."""
 
     __slots__ = ("id", "procedure", "givens", "parameters", "expected_steps",
                  "expected_answers", "answer_texts")
     _fields = __slots__[:-1]
+    __hash__ = None
 
     def __init__(self, id: str, procedure: ProcedureSpec,
                  givens: dict[str, Quantity], parameters: dict[str, Sexa],
@@ -159,14 +162,20 @@ class TabletProblem(Record):
                  answer_texts: dict[str, str] | None = None):
         setfield(self, "id", id)
         setfield(self, "procedure", procedure)
-        setfield(self, "givens", givens)
-        setfield(self, "parameters", parameters)
+        setfield(self, "givens", MappingProxyType(dict(givens)))
+        setfield(self, "parameters", MappingProxyType(dict(parameters)))
         setfield(self, "expected_steps", expected_steps)
-        setfield(self, "expected_answers", expected_answers)
+        setfield(self, "expected_answers",
+                 MappingProxyType(dict(expected_answers)))
         if answer_texts is None:
-            answer_texts = {name: str(q)
-                            for name, q in expected_answers.items()}
-        setfield(self, "answer_texts", answer_texts)
+            answer_texts = {n: str(q) for n, q in expected_answers.items()}
+        setfield(self, "answer_texts", MappingProxyType(dict(answer_texts)))
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle: hand its dict back instead.
+        cls, args = super().__reduce__()
+        return cls, tuple(dict(arg) if type(arg) is MappingProxyType else arg
+                          for arg in args)
 
 
 class CheckRow(Record):

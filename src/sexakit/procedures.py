@@ -24,7 +24,7 @@ the tablet shows the result but not the lookup that produced it.
 
 from __future__ import annotations
 
-from typing import Iterator, Union
+from collections.abc import Iterator
 
 from ._record import Record, setfield
 from .errors import (
@@ -56,7 +56,7 @@ __all__ = [
     "replay_smt24_p2",
 ]
 
-TraceValue = Union[Sexa, Quantity]
+TraceValue = Sexa | Quantity
 
 
 class Step(Record):

@@ -106,7 +106,6 @@ import re
 import struct
 from decimal import Decimal
 from fractions import Fraction
-from typing import Union
 
 from .errors import (
     IrregularDivisor,
@@ -128,8 +127,6 @@ __all__ = [
     "reciprocal",
     "is_regular",
 ]
-
-SexaLike = Union["Sexa", Fraction, int]
 
 #: The integers coprime to 30 from 7 on, the candidates of the prime
 #: search, are 30*t + r for r here, one turn t = 0, 1, 2, ... at a time.
@@ -354,6 +351,8 @@ class Sexa(Fraction):
             return f"Sexa({text.replace('/', ', ')})"
         return f"Sexa({text!r})"
 
+
+SexaLike = Sexa | Fraction | int
 
 #: A digit as ``render`` writes it (no leading zero), and a nonzero one.
 _DIGIT, _NONZERO = "[1-5]?[0-9]", "(?:[1-5][0-9]|[1-9])"

@@ -98,14 +98,6 @@ class Quantity(Record):
                 f"cannot add {self.dim.value} to {other.dim.value}")
         return Quantity(self.magnitude + other.magnitude, self.dim)
 
-    def __sub__(self, other: "Quantity") -> "Quantity":
-        if not isinstance(other, Quantity):
-            return NotImplemented
-        if self.dim is not other.dim:
-            raise DimensionMismatch(
-                f"cannot subtract {other.dim.value} from {self.dim.value}")
-        return Quantity(self.magnitude - other.magnitude, self.dim)
-
     def __mul__(self, other):
         if isinstance(other, Quantity):
             return qmul(self, other)

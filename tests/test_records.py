@@ -92,7 +92,8 @@ CASES = [
           "uncertain": False}, {"text": "five"},
          "ExpectedStep(label='u', value=Sexa('5'), line='obv.33', "
          "uncertain=True)"),
-    # Dict fields: frozen, yet its hash raises as a dict's does.
+    # Mapping fields, held as read-only views of the record's own copies:
+    # frozen all the way down, and declared unhashable as a dict is.
     Case(TabletProblem, {"id": "t.1", "procedure": SPEC,
                          "givens": {"V": HALF}, "parameters": {"A": Sexa(2)},
                          "expected_steps": (EXPECTED,),
@@ -103,9 +104,11 @@ CASES = [
           "givens": {}, "parameters": {}, "expected_steps": (),
           "expected_answers": {}}, {"answer_texts": {"u": "30 nindan"}},
          f"TabletProblem(id='t.1', procedure={SPEC_REPR}, "
-         f"givens={{'V': {HALF_REPR}}}, parameters={{'A': Sexa('2')}}, "
+         f"givens=mappingproxy({{'V': {HALF_REPR}}}), "
+         f"parameters=mappingproxy({{'A': Sexa('2')}}), "
          f"expected_steps=({EXPECTED_REPR},), "
-         f"expected_answers={{'u': {HALF_REPR}}})", hashable=False),
+         f"expected_answers=mappingproxy({{'u': {HALF_REPR}}}))",
+         hashable=False),
     Case(CheckRow, {"kind": "answer", "label": "u", "status": "MISMATCH",
                     "expected": "5", "got": "6", "line": "obv.33",
                     "uncertain": True},

@@ -239,13 +239,13 @@ class TestReplayCommand:
 
     def test_cold_start_imports_only_what_the_command_uses(self):
         # A fresh interpreter without site: importing the CLI pulls in
-        # neither dataclasses nor inspect (nor json), and a text replay
-        # leaves json unimported; --json then imports it.
+        # none of dataclasses, inspect, typing (and json), and a text
+        # replay leaves json unimported; --json then imports it.
         script = (
             "import sys\n"
             "before = set(sys.modules)\n"
             "import sexakit.cli\n"
-            "print(*sorted({'dataclasses', 'inspect', 'json'}\n"
+            "print(*sorted({'dataclasses', 'inspect', 'typing', 'json'}\n"
             "              & (set(sys.modules) - before)), sep=',')\n"
             "import contextlib, io\n"
             "for argv in (['replay', '--all'], ['replay', '--all', '--json']):\n"

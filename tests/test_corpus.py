@@ -1,5 +1,7 @@
 """Corpus loading, replay verification, and the enlarged-canal system."""
 
+import copy
+import pickle
 import time
 from fractions import Fraction
 
@@ -34,6 +36,10 @@ from sexakit.geometry import SMALL_CANAL_CONSTANT, breadths_from_constraints
 from sexakit.procedures import replay_smt24_p2, solve_sum_difference
 from sexakit.sexa import Sexa, parse, reciprocal, render
 from sexakit.units import Dimension, Quantity
+
+
+#: A TabletProblem's mapping fields.
+MAPPINGS = ("givens", "parameters", "expected_answers", "answer_texts")
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +99,47 @@ class TestLoad:
         assert rebuilt == p and repr(rebuilt) == repr(p)
         assert rebuilt.answer_texts == p.answer_texts \
             == {n: str(q) for n, q in p.expected_answers.items()}
+
+    def test_a_loaded_problem_is_read_only(self, bundled):
+        assert TabletProblem.__hash__ is None
+        for p in bundled:
+            for name in MAPPINGS:
+                mapping = getattr(p, name)
+                for key in [*mapping, "new"]:
+                    with pytest.raises(TypeError):
+                        mapping[key] = Sexa(3)
+                    with pytest.raises(TypeError):
+                        del mapping[key]
+            with pytest.raises(TypeError):
+                hash(p)
+
+    def test_a_problem_keeps_its_own_copies(self, bundled):
+        # With its answer texts given, and settled from its answers.
+        for p in bundled:
+            for pass_texts in (True, False):
+                given = {name: dict(getattr(p, name)) for name in MAPPINGS}
+                rebuilt = TabletProblem(
+                    p.id, p.procedure, given["givens"], given["parameters"],
+                    p.expected_steps, given["expected_answers"],
+                    given["answer_texts"] if pass_texts else None)
+                for mapping in given.values():
+                    mapping.clear()
+                    mapping["new"] = Sexa(3)
+                assert rebuilt == p
+                for name in MAPPINGS:
+                    assert getattr(rebuilt, name) == getattr(p, name), name
+
+    def test_pickle_copy_and_deepcopy_give_an_equal_problem(self, bundled):
+        for p in bundled:
+            copies = [pickle.loads(pickle.dumps(p, protocol))
+                      for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            copies += [copy.copy(p), copy.deepcopy(p)]
+            for other in copies:
+                assert other == p and repr(other) == repr(p)
+                for name in MAPPINGS:
+                    assert getattr(other, name) == getattr(p, name), name
+                    with pytest.raises(TypeError):
+                        getattr(other, name)["new"] = Sexa(3)
 
     def test_empty_file(self, tmp_path):
         assert load_corpus(write_corpus(tmp_path, "")) == []

@@ -164,6 +164,8 @@ def test_hash(case):
     if not case.frozen:
         assert type(record).__hash__ is None
     if not case.hashable:
+        # Declared unhashable, not a hash that raises on a field.
+        assert case.cls.__hash__ is None
         with pytest.raises(TypeError):
             hash(record)
         return

@@ -147,8 +147,8 @@ class ExpectedStep(Record):
 class TabletProblem(Record):
     """A corpus record.  ``answer_texts`` holds each expected answer as the
     report prints it, ``str(quantity)``, settled as ``ExpectedStep.text``
-    is, and likewise takes no part in equality or the repr.  Its four
-    mappings are read-only views of its own copies, and it has no hash."""
+    is, and likewise takes no part in equality or the repr.  Its steps are
+    a tuple and its mappings read-only views of copies; it has no hash."""
 
     __slots__ = ("id", "procedure", "givens", "parameters", "expected_steps",
                  "expected_answers", "answer_texts")
@@ -164,7 +164,7 @@ class TabletProblem(Record):
         setfield(self, "procedure", procedure)
         setfield(self, "givens", MappingProxyType(dict(givens)))
         setfield(self, "parameters", MappingProxyType(dict(parameters)))
-        setfield(self, "expected_steps", expected_steps)
+        setfield(self, "expected_steps", tuple(expected_steps))
         setfield(self, "expected_answers",
                  MappingProxyType(dict(expected_answers)))
         if answer_texts is None:

@@ -118,14 +118,17 @@ class TestLoad:
         for p in bundled:
             for pass_texts in (True, False):
                 given = {name: dict(getattr(p, name)) for name in MAPPINGS}
+                steps = list(p.expected_steps)
                 rebuilt = TabletProblem(
                     p.id, p.procedure, given["givens"], given["parameters"],
-                    p.expected_steps, given["expected_answers"],
+                    steps, given["expected_answers"],
                     given["answer_texts"] if pass_texts else None)
                 for mapping in given.values():
                     mapping.clear()
                     mapping["new"] = Sexa(3)
+                steps.clear()
                 assert rebuilt == p
+                assert rebuilt.expected_steps == p.expected_steps
                 for name in MAPPINGS:
                     assert getattr(rebuilt, name) == getattr(p, name), name
 

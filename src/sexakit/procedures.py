@@ -24,7 +24,7 @@ the tablet shows the result but not the lookup that produced it.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from ._record import Record, setfield
 from .errors import (
@@ -87,44 +87,42 @@ class Step(Record):
 class StepTrace(Record):
     """Ordered, uniquely-labelled record of intermediate values.
 
-    A label index kept beside ``steps`` makes ``record`` (with its
-    duplicate check), lookup and ``in`` constant-time, so a trace of n
-    steps costs O(n) to build, not O(n**2).  A trace keeps its own list,
-    a copy of the ``steps`` it is built from, so a copied trace grows
-    apart from the original.  Append through ``record`` only; the index
-    does not see edits made to ``steps`` directly.  Unlike the other
-    records a trace grows: its fields can be assigned, and it has no
-    hash.
+    ``record`` is the one way a step enters a trace: the constructor and
+    ``extend`` go through it, and so do copy and pickle, which rebuild a
+    trace from its ``steps``.  So a label appears at most once, and a
+    repeat raises ``MalformedProblem``.  A label index kept beside
+    ``steps`` makes ``record`` (with its duplicate check), lookup and
+    ``in`` constant-time, so a trace of n steps costs O(n) to build, not
+    O(n**2).  A trace keeps its own list, so a copied trace grows apart
+    from the original.  Like every record it refuses assignment to its
+    fields; it grows only through ``record``, and it has no hash.
     """
 
     __slots__ = ("steps", "_index")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
     __hash__ = None
 
-    def __init__(self, steps: list[Step] | None = None):
-        self.steps = [] if steps is None else list(steps)
-        self._index = {}
-        for i, step in enumerate(self.steps):
-            self._index.setdefault(step.label, i)
+    def __init__(self, steps: Iterable[Step] = ()):
+        setfield(self, "steps", [])
+        setfield(self, "_index", {})
+        self.extend(steps)
 
     def record(self, label: str, value: TraceValue,
                source: str = "derived") -> TraceValue:
         if label in self._index:
             raise MalformedProblem(f"duplicate step label {label!r}")
-        self._index[label] = len(self.steps)
-        self.steps.append(Step(label, value, source))
+        step = self._index[label] = Step(label, value, source)
+        self.steps.append(step)
         return value
 
-    def extend(self, other: "StepTrace") -> None:
-        for step in other.steps:
+    def extend(self, steps: Iterable[Step]) -> None:
+        for step in steps:
             self.record(step.label, step.value, step.source)
 
     def __iter__(self) -> Iterator[Step]:
         return iter(self.steps)
 
     def __getitem__(self, label: str) -> TraceValue:
-        return self.steps[self._index[label]].value
+        return self._index[label].value
 
     def __contains__(self, label: str) -> bool:
         return label in self._index

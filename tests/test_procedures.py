@@ -17,6 +17,7 @@ from sexakit.errors import (
 )
 from sexakit.procedures import (
     QuadraticProblem,
+    Step,
     StepTrace,
     SumDifferenceProblem,
     divide_by_recognition,
@@ -258,6 +259,27 @@ class TestStepTrace:
             head.extend(tail)
         assert [s.label for s in head] == ["a", "b"]
         assert head["b"] == 2 and head["a"] == 1
+
+    def test_every_step_enters_through_record(self):
+        # The constructor and extend check labels as record does.
+        with pytest.raises(MalformedProblem, match="duplicate step label 'u'"):
+            StepTrace([Step("u", Sexa(1)), Step("u", Sexa(2))])
+        trace = StepTrace(Step(label, Sexa(i)) for i, label in enumerate("ab"))
+        with pytest.raises(MalformedProblem, match="duplicate step label 'b'"):
+            trace.extend(iter([Step("c", Sexa(2)), Step("b", Sexa(3))]))
+        assert [s.label for s in trace] == ["a", "b", "c"]
+        assert trace["b"] == 1 and trace["c"] == 2
+
+    def test_fields_are_read_only_and_record_still_appends(self):
+        trace = StepTrace()
+        with pytest.raises(AttributeError):
+            trace.steps = []
+        with pytest.raises(AttributeError):
+            del trace.steps
+        assert "__setattr__" not in vars(StepTrace)
+        assert "__delattr__" not in vars(StepTrace)
+        trace.record("a", Sexa(1))
+        assert trace.steps == [Step("a", Sexa(1))] and trace["a"] == 1
 
     def test_index_follows_steps(self):
         built = StepTrace()

@@ -72,7 +72,7 @@ CASES = [
          {"label": "v", "value": HALF, "source": "derived"}, {},
          "Step(label='u', value=Sexa('5'), source='tablet')"),
     Case(StepTrace, {"steps": [STEP]}, {"steps": []}, {"steps": []}, {},
-         f"StepTrace(steps=[{STEP_REPR}])", frozen=False, hashable=False),
+         f"StepTrace(steps=[{STEP_REPR}])", hashable=False),
     Case(QuadraticProblem, {"a": Sexa(1), "b": Sexa(2), "c": Sexa(3)}, {},
          {"a": Sexa(2), "b": Sexa(3), "c": Sexa(4)}, {},
          "QuadraticProblem(a=Sexa('1'), b=Sexa('2'), c=Sexa('3'))"),

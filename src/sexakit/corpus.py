@@ -18,14 +18,17 @@ since the arithmetic does confirm it; the flag is carried through to
 the report).
 
 ``PROCEDURES`` is the one table of procedures: each ``ProcedureSpec``
-gives a corpus name, the params and givens a record for it must carry,
-``run(problem) -> (trace, answers)`` and ``verify(problem, answers)``.
-``load_corpus`` looks a record's procedure up there and checks its
-fields against the entry.  ``replay`` calls the entry's ``run``, then
-its ``verify``, which substitutes the answers back into the problem's
-equations with plain exact arithmetic, then compares every produced
-trace step against the expectations, label by label, with exact
-equality; answers are compared with their units.  Report text for an
+gives a corpus name, the params and givens a record for it must carry
+and those it may carry, ``run(problem) -> (trace, answers)`` and
+``verify(problem, answers)``.  ``load_corpus`` looks a record's
+procedure up there and checks its fields against the entry: a missing
+field is an error, and so is one the procedure does not read, so a
+misspelled optional field cannot fall back to its default unseen.
+``replay`` calls the entry's ``run``, then its ``verify``, which
+substitutes the answers back into the problem's equations with plain
+exact arithmetic, then compares every produced trace step against the
+expectations, label by label, with exact equality; answers are
+compared with their units.  Report text for an
 expectation is settled once, at load: the corpus literal itself when it
 is already canonical, else its rendering; ``replay`` writes only the
 values it computed that mismatch.  A report passes only with zero
@@ -97,7 +100,10 @@ _Outcome = tuple[StepTrace, dict[str, Quantity]]
 class ProcedureSpec(Record):
     """A procedure that corpus records name, and how to replay it.
 
-    A record must carry every name in ``params`` and ``givens``.
+    A record must carry every name in ``params`` and ``givens``, may
+    carry those in ``optional_params`` and ``optional_givens``, and may
+    carry no other: together they name every value ``run`` and
+    ``verify`` read.
     ``run(problem)`` returns the trace and the named answers; it raises
     ``ProcedureError`` naming the stage that failed.  ``verify(problem,
     answers)`` substitutes those answers back into the problem's stated
@@ -106,17 +112,22 @@ class ProcedureSpec(Record):
     ``replay`` runs it as the ``verify`` stage.  Every procedure has one.
     """
 
-    __slots__ = ("name", "params", "givens", "run", "verify")
+    __slots__ = ("name", "params", "givens", "run", "verify",
+                 "optional_params", "optional_givens")
 
     def __init__(self, name: str, params: tuple[str, ...],
                  givens: tuple[str, ...],
                  run: Callable[[TabletProblem], _Outcome],
-                 verify: Callable[[TabletProblem, dict[str, Quantity]], None]):
+                 verify: Callable[[TabletProblem, dict[str, Quantity]], None],
+                 optional_params: tuple[str, ...] = (),
+                 optional_givens: tuple[str, ...] = ()):
         setfield(self, "name", name)
         setfield(self, "params", params)
         setfield(self, "givens", givens)
         setfield(self, "run", run)
         setfield(self, "verify", verify)
+        setfield(self, "optional_params", optional_params)
+        setfield(self, "optional_givens", optional_givens)
 
     @property
     def value(self) -> str:
@@ -275,15 +286,19 @@ class _ProblemBuilder:
         if self.procedure is None:
             raise CorpusParseError(
                 f"problem {self.id} has no procedure", line=self.line_no)
-        fields = self.fields
-        missing = [p for p in self.procedure.params
-                   if p not in fields["param"]]
-        missing += [g for g in self.procedure.givens
-                    if g not in fields["given"]]
-        if missing:
-            raise CorpusParseError(
-                f"problem {self.id} is missing fields: {', '.join(missing)}",
-                line=self.line_no)
+        spec, fields = self.procedure, self.fields
+        missing, unknown = [], []
+        for kind, required, optional in (
+                ("param", spec.params, spec.optional_params),
+                ("given", spec.givens, spec.optional_givens)):
+            missing += [n for n in required if n not in fields[kind]]
+            unknown += [n for n in fields[kind]
+                        if n not in required and n not in optional]
+        for names, verb in (missing, "is missing"), (unknown, "has unknown"):
+            if names:
+                raise CorpusParseError(
+                    f"problem {self.id} {verb} fields: {', '.join(names)}",
+                    line=self.line_no)
         return TabletProblem(
             id=self.id, procedure=self.procedure, givens=fields["given"],
             parameters=fields["param"],
@@ -557,13 +572,15 @@ def _verify_labor_depth(problem: TabletProblem,
 #: Every procedure a corpus record can name, keyed by that name.
 PROCEDURES: dict[str, ProcedureSpec] = {spec.name: spec for spec in (
     ProcedureSpec("quadratic", ("A", "B", "C"), (), _quadratic,
-                  _verify_quadratic),
+                  _verify_quadratic,
+                  optional_params=("excess", "excess_share"),
+                  optional_givens=("V",)),
     ProcedureSpec("rect-canal-system",
                   ("diff", "depth_factor", "thirteenth", "rhs"), (),
                   _rect_canal_system, _verify_rect_canal_system),
     ProcedureSpec("labor-depth", ("reach_length",),
                   ("total_water", "workers", "width"), _labor_depth,
-                  _verify_labor_depth),
+                  _verify_labor_depth, optional_params=("canal_constant",)),
 )}
 
 

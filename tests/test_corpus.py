@@ -313,6 +313,22 @@ MINIMAL_RECORDS = {
 }
 REQUIRED_FIELDS = [(spec.name, field) for spec in PROCEDURES.values()
                    for field in spec.params + spec.givens]
+OPTIONAL_FIELDS = [(spec.name, kind, field) for spec in PROCEDURES.values()
+                   for kind, names in (("param", spec.optional_params),
+                                       ("given", spec.optional_givens))
+                   for field in names]
+#: Each procedure with a field it does not read: another's optional
+#: field in either kind, or a name no procedure reads.
+UNKNOWN_FIELDS = [
+    (spec.name, kind, field) for spec in PROCEDURES.values()
+    for kind, known in (("param", spec.params + spec.optional_params),
+                        ("given", spec.givens + spec.optional_givens))
+    for field in sorted({f for _, _, f in OPTIONAL_FIELDS} | {"zeta"})
+    if field not in known]
+
+
+def field_line(kind, field):
+    return f"{kind} {field} = 1" + (" volume-sar" if kind == "given" else "")
 
 
 def minimal_record(name, drop=None):
@@ -342,6 +358,38 @@ class TestRegistry:
         assert err.value.line == 1
         assert str(err.value).endswith(
             f"problem t.min is missing fields: {field}")
+
+
+    @pytest.mark.parametrize("name,kind,field", OPTIONAL_FIELDS)
+    def test_optional_field_is_accepted(self, tmp_path, name, kind, field):
+        text = minimal_record(name) + "\n" + field_line(kind, field)
+        problem, = load_corpus(write_corpus(tmp_path, text))
+        values = problem.parameters if kind == "param" else problem.givens
+        assert field in values
+
+    def test_unknown_fields_are_checked_per_kind(self):
+        assert ("quadratic", "given", "excess") in UNKNOWN_FIELDS
+        assert ("quadratic", "param", "V") in UNKNOWN_FIELDS
+        assert ("labor-depth", "param", "excess") in UNKNOWN_FIELDS
+
+    @pytest.mark.parametrize("name,kind,field", UNKNOWN_FIELDS)
+    def test_unknown_field_is_named(self, tmp_path, name, kind, field):
+        text = minimal_record(name) + "\n" + field_line(kind, field)
+        with pytest.raises(CorpusParseError) as err:
+            load_corpus(write_corpus(tmp_path, text))
+        assert err.value.line == 1
+        assert str(err.value).endswith(
+            f"problem t.min has unknown fields: {field}")
+
+    def test_unknown_fields_list_params_then_givens_as_written(self,
+                                                               tmp_path):
+        text = minimal_record("labor-depth") + (
+            "\ngiven V = 1 nindan\nparam canal_konstant = 0;30"
+            "\ngiven excess = 1 nindan\nparam A = 1")
+        with pytest.raises(CorpusParseError) as err:
+            load_corpus(write_corpus(tmp_path, text))
+        assert str(err.value).endswith("problem t.min has unknown fields: "
+                                       "canal_konstant, A, V, excess")
 
 
 class TestReplay:

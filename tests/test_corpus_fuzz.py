@@ -71,15 +71,20 @@ corpus_texts = st.lists(st.one_of(field_lines(), short_lines),
 @st.composite
 def record_heads(draw):
     """No head; or a header and a procedure line, with or without the
-    fields that procedure requires, so that some examples load."""
+    fields that procedure requires (and then some of those it may
+    carry), so that some examples load."""
     procedure = draw(st.sampled_from([None, *sorted(PROCEDURES)]))
     if procedure is None:
         return ""
     head = ["[problem t.fuzz]", f"procedure = {procedure}"]
     if draw(st.booleans()):
         spec = PROCEDURES[procedure]
-        head += [f"param {name} = 1" for name in spec.params]
-        head += [f"given {name} = 1 nindan" for name in spec.givens]
+        params = [*spec.params, *(name for name in spec.optional_params
+                                  if draw(st.booleans()))]
+        givens = [*spec.givens, *(name for name in spec.optional_givens
+                                  if draw(st.booleans()))]
+        head += [f"param {name} = 1" for name in params]
+        head += [f"given {name} = 1 nindan" for name in givens]
     return "\n".join(head) + "\n"
 
 

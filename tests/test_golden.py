@@ -18,9 +18,11 @@ MISMATCH rows of both kinds, to pin the canonical report text.
 name, to pin the column of a bad literal.
 ``replay-duplicate-procedure.corpus`` names two procedures in one record,
 ``replay-empty-tag.corpus`` has a line tag that is only its "?",
-``replay-procedure-usage.corpus`` has a procedure line without its "="
-and ``replay-no-records.corpus`` holds no record at all (replayed in
-text and in JSON), to pin the exit-2 error of each.  A golden file
+``replay-procedure-usage.corpus`` has a procedure line without its "=",
+``replay-unknown-field.corpus`` has a misspelled param and a given its
+procedure does not read, and ``replay-no-records.corpus`` holds no
+record at all (replayed in text and in JSON), to pin the exit-2 error
+of each.  A golden file
 changes only when the output is meant to change.
 """
 
@@ -79,7 +81,8 @@ CASES = {
                            str(GOLDEN / "replay-bad-literal.corpus")],
     **{case: ["replay", "--all", "--corpus", str(GOLDEN / f"{case}.corpus")]
        for case in ("replay-duplicate-procedure", "replay-empty-tag",
-                    "replay-procedure-usage", "replay-no-records")},
+                    "replay-procedure-usage", "replay-unknown-field",
+                    "replay-no-records")},
     "replay-no-records-json": ["replay", "--all", "--json", "--corpus",
                                str(GOLDEN / "replay-no-records.corpus")],
     "eval-oracle-huge": ["eval", f"1,{NINES} / 7", "--oracle"],

@@ -38,7 +38,8 @@ STEP_REPR = "Step(label='u', value=Sexa('5'), source='derived')"
 # Builtins pickle by name and repr without an address.
 SPEC = ProcedureSpec("p", ("A",), (), len, max)
 SPEC_REPR = ("ProcedureSpec(name='p', params=('A',), givens=(), "
-             "run=<built-in function len>, verify=<built-in function max>)")
+             "run=<built-in function len>, verify=<built-in function max>, "
+             "optional_params=(), optional_givens=())")
 EXPECTED = ExpectedStep("u", Sexa(5), "obv.33")
 EXPECTED_REPR = "ExpectedStep(label='u', value=Sexa('5'), line='obv.33', " \
                 "uncertain=False)"
@@ -82,9 +83,14 @@ CASES = [
     Case(CanalConstant, {"ratio": Sexa("0;48")}, {}, {"ratio": Sexa(1)}, {},
          "CanalConstant(ratio=Sexa('0;48'))"),
     Case(ProcedureSpec, {"name": "p", "params": ("A",), "givens": (),
-                         "run": len, "verify": max}, {},
+                         "run": len, "verify": max, "optional_params": ("B",),
+                         "optional_givens": ("V",)},
+         {"optional_params": (), "optional_givens": ()},
          {"name": "q", "params": (), "givens": ("V",), "run": min,
-          "verify": len}, {}, SPEC_REPR),
+          "verify": len, "optional_params": (), "optional_givens": ("W",)},
+         {}, "ProcedureSpec(name='p', params=('A',), givens=(), "
+             "run=<built-in function len>, verify=<built-in function max>, "
+             "optional_params=('B',), optional_givens=('V',))"),
     Case(ExpectedStep, {"label": "u", "value": Sexa(5), "line": "obv.33",
                         "uncertain": True, "text": "5"},
          {"uncertain": False, "text": "5"},

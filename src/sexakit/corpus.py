@@ -1,7 +1,9 @@
 """Machine-readable tablet problems and the replay engine.
 
-A corpus file is line-oriented, 7-bit text.  Records open with
-``[problem <id>]`` and carry these fields::
+A corpus file is line-oriented, 7-bit text.  A line ends only at a
+newline (a CRLF or a lone CR reads as one), so a form feed or another
+separator stays inside its line, and line numbers match ``grep -n``.
+Records open with ``[problem <id>]`` and carry these fields::
 
     procedure = quadratic | rect-canal-system | labor-depth
     given <name> = <literal> <unit>
@@ -345,7 +347,7 @@ def load_corpus(path: str | os.PathLike | None = None) -> list[TabletProblem]:
             problems.append(builder.finish())
             builder = None
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         if not raw.isascii():
             raise CorpusParseError("corpus files must be 7-bit text",
                                    line=line_no)

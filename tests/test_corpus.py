@@ -292,6 +292,41 @@ class TestLoad:
         with pytest.raises(CorpusParseError):
             load_corpus(path)
 
+    @pytest.mark.parametrize("separator", ["\v", "\f", "\x1c", "\x1d",
+                                           "\x1e"])
+    def test_a_line_ends_only_at_a_newline(self, tmp_path, separator):
+        # str.splitlines would end the comment's line at the separator, and
+        # number every later line one past what grep -n gives.
+        text = (f"[problem t.p1]\nprocedure = quadratic # a{separator}b\n"
+                "param A = 1\nparam B = 5\nparam C = 6\n")
+        problem, = load_corpus(write_corpus(tmp_path, text))
+        assert problem.parameters["C"] == 6
+        with pytest.raises(CorpusParseError, match="unrecognized") as err:
+            load_corpus(write_corpus(tmp_path, text + "wibble\n"))
+        assert err.value.line == 6
+
+    def test_crlf_and_cr_end_a_line_as_newline_does(self, tmp_path):
+        path = tmp_path / "crlf.corpus"
+        path.write_bytes(b"[problem t.p1]\r\nprocedure = quadratic\r"
+                         b"param A = 1\r\nparam B = 5\nparam C = 6\r\n")
+        problem, = load_corpus(path)
+        assert problem.parameters["C"] == 6
+        path.write_bytes(path.read_bytes() + b"wibble\r\n")
+        with pytest.raises(CorpusParseError, match="unrecognized") as err:
+            load_corpus(path)
+        assert err.value.line == 6
+
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
+    def test_a_unicode_line_separator_is_not_7_bit(self, tmp_path,
+                                                    separator):
+        path = tmp_path / "separator.corpus"
+        path.write_text(f"[problem t.p1]\nprocedure = quadratic\n"
+                        f"param A = 1{separator}param B = 5\nparam C = 6\n",
+                        encoding="utf-8")
+        with pytest.raises(CorpusParseError, match="7-bit") as err:
+            load_corpus(path)
+        assert err.value.line == 3
+
     def test_find_problem(self, bundled):
         assert find_problem(bundled, "smt25.p1").id == "smt25.p1"
         with pytest.raises(UnknownProblem):

@@ -41,6 +41,14 @@ def test_library_example_prints_the_tablet_chain(capsys):
     ]
 
 
+def test_corpus_example_is_a_record_that_replays(capsys, tmp_path):
+    path = tmp_path / "example.corpus"
+    path.write_text(fenced_block("The corpus", ""), encoding="utf-8")
+    assert main(["replay", "--all", "--corpus", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] \
+        == "smt24.p1 PASS (2 checks)"
+
+
 COMMANDS = [line for line in fenced_block("Command line", "sh").splitlines()
             if line.startswith("sexakit ")]
 #: A comment that gives the printed value starts with it ("34;41,15",

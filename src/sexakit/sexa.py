@@ -46,13 +46,14 @@ is one regex, ``_CANONICAL``: a literal that matches it is already
 the text ``render`` would write for its value, so a caller holding such
 a literal (a corpus expectation) can print it without rendering.  The
 fold and the split make each big-integer product or quotient one of two
-numbers of about one size.  On Python 3.11 (2 vCPU), ``parse`` of an
-integer literal of 100k/200k/400k random groups takes 0.04/0.10/0.29 s,
-about 2.5-3x per doubling (Karatsuba products).  The gcd is quadratic:
-a literal of as many fractional groups takes 0.32/1.19/4.7 s, about 4x
-per doubling.  ``render`` takes 0.38/1.44/5.8 s, still about 3.8x
+numbers of about one size.  So the time of ``parse`` of an integer
+literal grows about 2.5-3x per doubling of its random groups (Karatsuba
+products).  The gcd is quadratic: a literal of as many fractional
+groups grows about 4x per doubling.  ``render`` still grows about 3.8x
 per doubling, because the long division of 3.10 and 3.11 is schoolbook
-(about 3x on 3.12 and 3.13).  Stripping 2, 3 and 5 (``is_regular``,
+(about 3x on 3.12 and 3.13).  Wall-clock timings drift with the machine
+and the interpreter, so they are kept with their hardware in ROADMAP.md
+(item 3), not here.  Stripping 2, 3 and 5 (``is_regular``,
 ``reciprocal``) takes one shift and O(log e) divisions per prime power
 p**e, each linear in the length of the number, so it keeps a quadratic
 term.  Rejecting an irregular number is the exception: naming the

@@ -270,12 +270,9 @@ class TestStepTrace:
         assert [s.label for s in trace] == ["a", "b", "c"]
         assert trace["b"] == 1 and trace["c"] == 2
 
-    def test_fields_are_read_only_and_record_still_appends(self):
+    def test_record_appends_to_read_only_fields(self):
+        # tests/test_records.py checks that the fields refuse assignment.
         trace = StepTrace()
-        with pytest.raises(AttributeError):
-            trace.steps = []
-        with pytest.raises(AttributeError):
-            del trace.steps
         assert "__setattr__" not in vars(StepTrace)
         assert "__delattr__" not in vars(StepTrace)
         trace.record("a", Sexa(1))

@@ -394,7 +394,6 @@ class TestRegistry:
         assert str(err.value).endswith(
             f"problem t.min is missing fields: {field}")
 
-
     @pytest.mark.parametrize("name,kind,field", OPTIONAL_FIELDS)
     def test_optional_field_is_accepted(self, tmp_path, name, kind, field):
         text = minimal_record(name) + "\n" + field_line(kind, field)

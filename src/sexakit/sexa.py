@@ -61,11 +61,11 @@ prime in ``IrregularDivisor``/``NonTerminating`` searches the non-smooth
 part m for its smallest prime p among the integers coprime to 30, up to
 sqrt(m) when m is prime, or up to ``_PRIME_SEARCH_LIMIT`` (10**6),
 whichever comes first.  It takes one
-gcd of m with the product of each block of candidates (blocks of 8, 16,
-32, ... candidates, then 1024 at a time): at most 267 gcds, each of m
-and a product of at most about 20 400 bits, then at most one walk of one
-block that divides the shared factor, not m.  Past the limit the error
-names no prime (``.prime`` is None).
+gcd of m with the product of the primes among each block of candidates
+(blocks of 8, 16, 32, ... candidates, then 1024 at a time): at most 267
+gcds, each of m and a product of at most about 6 100 bits, then at most
+one walk of one block that divides the shared factor, not m.  Past the
+limit the error names no prime (``.prime`` is None).
 
 Small values (a few groups, as in a tablet replay) cost bookkeeping more
 than arithmetic, so ``Sexa`` does its own.  When the other operand's
@@ -87,15 +87,19 @@ use a ``Fraction`` argument as it is and build any other with
 ``Sexa()``, so each refuses a float, parses a literal string and
 refuses a NaN or infinite ``Decimal`` with ``MalformedLiteral``.
 
-Three tables are kept between calls.  Two are built at import, in about
+Four tables are kept between calls.  Two are built at import, in about
 0.3 ms: ``_GROUP_VALUES``, the value of each of the 70 group spellings
 the grammar accepts ("0".."59" and "00".."09"), and ``_DIGIT_PAIRS``, the
-3600 texts "0,0" to "59,59" (about 220 KiB).  The third is
-``_BLOCK_PRODUCTS``, the product of each block's candidates, a constant
-of the prime search.  It is empty at import, and a block's product is
+3600 texts "0,0" to "59,59" (about 220 KiB).  The other two are
+constants of the prime search, empty at import.  ``_BLOCK_PRODUCTS``
+holds the product of the primes among each block's candidates, found by
+a segmented sieve of the block by ``_SIEVING_PRIMES``, the 168 primes up
+to 1000, which are sieved with the first product.  A block's product is
 built the first time a search reaches that block, so a search that stops
 at p builds only the blocks up to p.  All 267 products together take
-about 650 KiB and 0.1 s to build.
+about 180 KB, under a third of the size of the products of every
+candidate, and about 0.1 s to build, half the time those took (3.11.7,
+2 vCPU).
 """
 
 from __future__ import annotations
@@ -151,10 +155,41 @@ def _search_blocks() -> tuple[range, ...]:
 
 
 _BLOCKS = _search_blocks()
-#: The product of each block's candidates, keyed by its first candidate:
-#: a constant of the search, built the first time a search reaches its
-#: block.  No other table changes after import.
+#: The product of the primes among each block's candidates, keyed by its
+#: first candidate: a constant of the search, built the first time a
+#: search reaches its block.
 _BLOCK_PRODUCTS: dict[int, int] = {}
+#: The primes up to 1000, which sieve every block: each composite
+#: candidate, up to ``_LAST_CANDIDATE`` < 1009**2, has a prime factor
+#: among them.  Built with the first block product.  These two are the
+#: only tables that change after import.
+_SIEVING_PRIMES: list[int] = []
+
+
+def _sieve(lo: int, hi: int, primes: list[int]) -> list[int]:
+    """The primes in [lo, hi), for lo >= 2, by a sieve of Eratosthenes of
+    that segment alone: ``primes`` holds, ascending, every prime p with
+    p*p < hi."""
+    n = hi - lo
+    sieve = bytearray([1]) * n
+    for p in primes:
+        if p * p >= hi:
+            break
+        # Strike the multiples of p from p*p on (a smaller one has a
+        # smaller prime factor), the first at or after lo.
+        i = max(p * p - lo, -lo % p)
+        sieve[i::p] = bytes(len(range(i, n, p)))
+    return list(itertools.compress(range(lo, hi), sieve))
+
+
+def _block_product(turns: range) -> int:
+    """The product of the primes among a block's candidates: the primes
+    from its first candidate to the last, by a segmented sieve."""
+    if not _SIEVING_PRIMES:
+        # Racing threads store the same primes.
+        _SIEVING_PRIMES[:] = _sieve(2, 1001, _sieve(2, 32, [2, 3, 5]))
+    return math.prod(_sieve(30 * turns.start + _WHEEL[0],
+                            30 * turns.stop + _WHEEL[0], _SIEVING_PRIMES))
 
 
 def _reduced(n: int, d: int) -> Sexa:
@@ -513,13 +548,13 @@ def _smallest_prime_factor(n: int) -> int | None:
         if product is None:
             # Racing threads build the same value: whichever stores
             # first wins, and every caller gets an equal product.
-            product = _BLOCK_PRODUCTS.setdefault(
-                lo, math.prod(30 * t + r for t in turns for r in _WHEEL))
+            product = _BLOCK_PRODUCTS.setdefault(lo, _block_product(turns))
         g = math.gcd(n, product)
         if g > 1:
             if g < lo * lo:
                 return g
-            # A candidate divides n exactly when it divides g.
+            # g is the product of the block's primes that divide n, so
+            # the first candidate that divides g is the least of them.
             for t in turns:
                 for r in _WHEEL:
                     if g % (30 * t + r) == 0:

@@ -706,6 +706,17 @@ def block_candidates(turns: range) -> list[int]:
     return [30 * t + r for t in turns for r in _WHEEL]
 
 
+def prime_flags(limit: int) -> bytearray:
+    """flags[k] is 1 exactly when k <= limit is prime: a bytearray sieve
+    of Eratosthenes."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    return flags
+
+
 class TestBlockSearch:
     def test_blocks_cover_the_wheel_up_to_the_last_candidate(self):
         turns = [t for block in _BLOCKS for t in block]
@@ -734,6 +745,10 @@ class TestBlockSearch:
         (101 * 103, 101),
         (999979 * 999983, 999979),
         (999979 * 999983 * SEMIPRIME, 999979),
+        # A squared prime and another prime of one block: the gcd is
+        # their product, the square only once.
+        (1009**2 * 1013, 1009),
+        (999979**2 * 999983, 999979),
         # Squares of candidates.
         (7**50, 7),
         (97**2, 97),
@@ -770,6 +785,7 @@ class TestBlockSearch:
         sys.setswitchinterval(1e-6)
         try:
             sexa._BLOCK_PRODUCTS.clear()
+            sexa._SIEVING_PRIMES.clear()
             threads = [threading.Thread(target=search, args=(i,))
                        for i in range(4)]
             for thread in threads:
@@ -781,20 +797,24 @@ class TestBlockSearch:
             sys.setswitchinterval(interval)
         assert results == [expected] * 4
         assert len(sexa._BLOCK_PRODUCTS) == len(_BLOCKS)
+        is_prime = prime_flags(_LAST_CANDIDATE)
+        assert sexa._SIEVING_PRIMES == [
+            p for p in range(1001) if is_prime[p]]
         for turns in _BLOCKS:
             lo = 30 * turns.start + 7
-            assert sexa._BLOCK_PRODUCTS[lo] == \
-                math.prod(block_candidates(turns))
+            assert sexa._BLOCK_PRODUCTS[lo] == math.prod(
+                c for c in block_candidates(turns) if is_prime[c])
 
     def test_no_product_is_built_by_import_or_replay(self):
         script = (
             "import contextlib, io\n"
             "import sexakit\n"
             "from sexakit import cli, sexa\n"
-            "print(len(sexa._BLOCK_PRODUCTS))\n"
+            "tables = sexa._BLOCK_PRODUCTS, sexa._SIEVING_PRIMES\n"
+            "print(*map(len, tables))\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = cli.main(['replay', '--all'])\n"
-            "print(code, len(sexa._BLOCK_PRODUCTS))\n")
+            "print(code, *map(len, tables))\n")
         src = os.path.dirname(os.path.dirname(sexakit.__file__))
         path = os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -802,7 +822,7 @@ class TestBlockSearch:
             [sys.executable, "-c", script], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": path}, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["0", "0", "0"]
+        assert done.stdout.split() == ["0"] * 5
 
 
 # -- the digit kernels against the one-group loops they replaced -------------

@@ -60,7 +60,6 @@ class Case(NamedTuple):
     #: Fields outside equality and repr, with a differing value.
     ignored: dict
     repr: str
-    frozen: bool = True
     #: Whether hash() succeeds, given hashable field values.
     hashable: bool = True
 
@@ -167,8 +166,6 @@ def test_equality_over_the_compared_fields_only(case):
 
 def test_hash(case):
     record = build(case)
-    if not case.frozen:
-        assert type(record).__hash__ is None
     if not case.hashable:
         # Declared unhashable, not a hash that raises on a field.
         assert case.cls.__hash__ is None
@@ -189,16 +186,11 @@ def test_repr(case):
 def test_fields_are_read_only(case):
     record = build(case)
     for name, value in {**case.fields, **case.other}.items():
-        if not case.frozen:
-            setattr(record, name, value)
-            assert getattr(record, name) == value
-            continue
         with pytest.raises(AttributeError):
             setattr(record, name, value)
         with pytest.raises(AttributeError):
             delattr(record, name)
-    if case.frozen:
-        assert values(record, case.fields) == list(case.fields.values())
+    assert values(record, case.fields) == list(case.fields.values())
 
 
 def test_pickle_copy_and_deepcopy(case):

@@ -21,11 +21,12 @@ the report).
 
 ``PROCEDURES`` is the one table of procedures: each ``ProcedureSpec``
 gives a corpus name, the params and givens a record for it must carry
-and those it may carry, ``run(problem) -> (trace, answers)`` and
-``verify(problem, answers)``.  ``load_corpus`` looks a record's
-procedure up there and checks its fields against the entry: a missing
-field is an error, and so is one the procedure does not read, so a
-misspelled optional field cannot fall back to its default unseen.
+and those it may carry, each given with its dimension, ``run(problem)
+-> (trace, answers)`` and ``verify(problem, answers)``.  ``load_corpus``
+looks a record's procedure up there and checks its fields against the
+entry: a missing field is an error, and so are a field the procedure
+does not read (so a misspelled optional field cannot fall back to its
+default unseen) and a given in another dimension than the entry's.
 ``replay`` calls the entry's ``run``, then its ``verify``, which
 substitutes the answers back into the problem's equations with plain
 exact arithmetic, then compares every produced trace step against the
@@ -105,7 +106,10 @@ class ProcedureSpec(Record):
     A record must carry every name in ``params`` and ``givens``, may
     carry those in ``optional_params`` and ``optional_givens``, and may
     carry no other: together they name every value ``run`` and
-    ``verify`` read.
+    ``verify`` read.  ``givens`` and ``optional_givens`` pair each
+    given's name with its dimension, and a record must state the given
+    in it (a volume in volume-sar, or in sar60 or susi, which read as
+    volume-sar).
     ``run(problem)`` returns the trace and the named answers; it raises
     ``ProcedureError`` naming the stage that failed.  ``verify(problem,
     answers)`` substitutes those answers back into the problem's stated
@@ -118,11 +122,11 @@ class ProcedureSpec(Record):
                  "optional_params", "optional_givens")
 
     def __init__(self, name: str, params: tuple[str, ...],
-                 givens: tuple[str, ...],
+                 givens: tuple[tuple[str, Dimension], ...],
                  run: Callable[[TabletProblem], _Outcome],
                  verify: Callable[[TabletProblem, dict[str, Quantity]], None],
                  optional_params: tuple[str, ...] = (),
-                 optional_givens: tuple[str, ...] = ()):
+                 optional_givens: tuple[tuple[str, Dimension], ...] = ()):
         setfield(self, "name", name)
         setfield(self, "params", params)
         setfield(self, "givens", givens)
@@ -282,6 +286,8 @@ class _ProblemBuilder:
         self.procedure: ProcedureSpec | None = None
         #: The record's values so far, one dict per kind of value field.
         self.fields: dict[str, dict] = {kind: {} for kind in _VALUE_FIELDS}
+        #: The line of each given.
+        self.given_lines: dict[str, int] = {}
         self.answer_texts: dict[str, str] = {}
 
     def finish(self) -> TabletProblem:
@@ -289,18 +295,23 @@ class _ProblemBuilder:
             raise CorpusParseError(
                 f"problem {self.id} has no procedure", line=self.line_no)
         spec, fields = self.procedure, self.fields
+        dims = dict(spec.givens + spec.optional_givens)
         missing, unknown = [], []
-        for kind, required, optional in (
-                ("param", spec.params, spec.optional_params),
-                ("given", spec.givens, spec.optional_givens)):
+        for kind, required, known in (
+                ("param", spec.params, spec.params + spec.optional_params),
+                ("given", [name for name, _ in spec.givens], dims)):
             missing += [n for n in required if n not in fields[kind]]
-            unknown += [n for n in fields[kind]
-                        if n not in required and n not in optional]
+            unknown += [n for n in fields[kind] if n not in known]
         for names, verb in (missing, "is missing"), (unknown, "has unknown"):
             if names:
                 raise CorpusParseError(
                     f"problem {self.id} {verb} fields: {', '.join(names)}",
                     line=self.line_no)
+        for name, quantity in fields["given"].items():
+            if quantity.dim is not dims[name]:
+                raise CorpusParseError(
+                    f"given {name} must be {dims[name].value}, "
+                    f"got {quantity.dim.value}", line=self.given_lines[name])
         return TabletProblem(
             id=self.id, procedure=self.procedure, givens=fields["given"],
             parameters=fields["param"],
@@ -425,6 +436,8 @@ def load_corpus(path: str | os.PathLike | None = None) -> list[TabletProblem]:
                       else render(value)))
         elif kind == "answer":
             builder.answer_texts[name] = _answer_text(literal, value)
+        elif kind == "given":
+            builder.given_lines[name] = line_no
         values[name] = value
     flush()
     return problems
@@ -576,13 +589,16 @@ PROCEDURES: dict[str, ProcedureSpec] = {spec.name: spec for spec in (
     ProcedureSpec("quadratic", ("A", "B", "C"), (), _quadratic,
                   _verify_quadratic,
                   optional_params=("excess", "excess_share"),
-                  optional_givens=("V",)),
+                  optional_givens=(("V", Dimension.VOLUME_SAR),)),
     ProcedureSpec("rect-canal-system",
                   ("diff", "depth_factor", "thirteenth", "rhs"), (),
                   _rect_canal_system, _verify_rect_canal_system),
     ProcedureSpec("labor-depth", ("reach_length",),
-                  ("total_water", "workers", "width"), _labor_depth,
-                  _verify_labor_depth, optional_params=("canal_constant",)),
+                  (("total_water", Dimension.VOLUME_SAR),
+                   ("workers", Dimension.WORKER_COUNT),
+                   ("width", Dimension.LENGTH_NINDAN)),
+                  _labor_depth, _verify_labor_depth,
+                  optional_params=("canal_constant",)),
 )}
 
 

@@ -347,17 +347,24 @@ MINIMAL_RECORDS = {
                     "expect answer z = 4;30 kus"],
 }
 REQUIRED_FIELDS = [(spec.name, field) for spec in PROCEDURES.values()
-                   for field in spec.params + spec.givens]
+                   for field in (*spec.params, *dict(spec.givens))]
 OPTIONAL_FIELDS = [(spec.name, kind, field) for spec in PROCEDURES.values()
                    for kind, names in (("param", spec.optional_params),
-                                       ("given", spec.optional_givens))
+                                       ("given", dict(spec.optional_givens)))
                    for field in names]
+#: Each procedure with each given it reads, and that given's dimension.
+GIVENS = [(spec.name, field, dim) for spec in PROCEDURES.values()
+          for field, dim in spec.givens + spec.optional_givens]
+#: Each of those givens with a unit of another dimension.
+MISPLACED_GIVENS = [(name, field, dim, unit) for name, field, dim in GIVENS
+                    for unit in ("nindan", "workers", "kus", "sar", "1")
+                    if unit != dim.value]
 #: Each procedure with a field it does not read: another's optional
 #: field in either kind, or a name no procedure reads.
 UNKNOWN_FIELDS = [
     (spec.name, kind, field) for spec in PROCEDURES.values()
     for kind, known in (("param", spec.params + spec.optional_params),
-                        ("given", spec.givens + spec.optional_givens))
+                        ("given", dict(spec.givens + spec.optional_givens)))
     for field in sorted({f for _, _, f in OPTIONAL_FIELDS} | {"zeta"})
     if field not in known]
 
@@ -400,6 +407,39 @@ class TestRegistry:
         problem, = load_corpus(write_corpus(tmp_path, text))
         values = problem.parameters if kind == "param" else problem.givens
         assert field in values
+
+    def test_every_given_has_its_dimension(self):
+        assert {(name, field): dim for name, field, dim in GIVENS} == {
+            ("quadratic", "V"): Dimension.VOLUME_SAR,
+            ("labor-depth", "total_water"): Dimension.VOLUME_SAR,
+            ("labor-depth", "workers"): Dimension.WORKER_COUNT,
+            ("labor-depth", "width"): Dimension.LENGTH_NINDAN}
+
+    @pytest.mark.parametrize("name,field,dim,unit", MISPLACED_GIVENS)
+    def test_given_in_another_dimension_is_refused_at_its_line(
+            self, tmp_path, name, field, dim, unit):
+        text = minimal_record(name, drop=field) + f"\ngiven {field} = 1 {unit}"
+        with pytest.raises(CorpusParseError) as err:
+            load_corpus(write_corpus(tmp_path, text))
+        assert err.value.line == text.count("\n") + 1
+        assert str(err.value) == f"line {err.value.line}: given {field} " \
+                                 f"must be {dim.value}, got {unit}"
+
+    def test_given_before_the_procedure_line_is_refused_at_its_line(
+            self, tmp_path):
+        text = minimal_record("quadratic").replace(
+            "procedure = quadratic", "given V = 2 sar\nprocedure = quadratic")
+        with pytest.raises(CorpusParseError) as err:
+            load_corpus(write_corpus(tmp_path, text))
+        assert str(err.value) == "line 2: given V must be volume-sar, got sar"
+
+    @pytest.mark.parametrize("unit,scale", [("volume-sar", 1), ("sar60", 3600),
+                                            ("susi", 60)])
+    def test_volume_given_reads_in_each_volume_unit(self, tmp_path, unit,
+                                                    scale):
+        text = minimal_record("quadratic") + f"\ngiven V = 2 {unit}"
+        problem, = load_corpus(write_corpus(tmp_path, text))
+        assert problem.givens["V"] == Quantity(2 * scale, Dimension.VOLUME_SAR)
 
     def test_unknown_fields_are_checked_per_kind(self):
         assert ("quadratic", "given", "excess") in UNKNOWN_FIELDS

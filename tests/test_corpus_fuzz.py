@@ -72,7 +72,7 @@ corpus_texts = st.lists(st.one_of(field_lines(), short_lines),
 def record_heads(draw):
     """No head; or a header and a procedure line, with or without the
     fields that procedure requires (and then some of those it may
-    carry), so that some examples load."""
+    carry, each given in its dimension), so that some examples load."""
     procedure = draw(st.sampled_from([None, *sorted(PROCEDURES)]))
     if procedure is None:
         return ""
@@ -81,10 +81,10 @@ def record_heads(draw):
         spec = PROCEDURES[procedure]
         params = [*spec.params, *(name for name in spec.optional_params
                                   if draw(st.booleans()))]
-        givens = [*spec.givens, *(name for name in spec.optional_givens
+        givens = [*spec.givens, *(given for given in spec.optional_givens
                                   if draw(st.booleans()))]
         head += [f"param {name} = 1" for name in params]
-        head += [f"given {name} = 1 nindan" for name in givens]
+        head += [f"given {name} = 1 {dim.value}" for name, dim in givens]
     return "\n".join(head) + "\n"
 
 

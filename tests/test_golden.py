@@ -20,7 +20,8 @@ name, to pin the column of a bad literal.
 ``replay-empty-tag.corpus`` has a line tag that is only its "?",
 ``replay-procedure-usage.corpus`` has a procedure line without its "=",
 ``replay-unknown-field.corpus`` has a misspelled param and a given its
-procedure does not read, and ``replay-no-records.corpus`` holds no
+procedure does not read, ``replay-wrong-dimension.corpus`` states a
+given in another dimension than its procedure's, and ``replay-no-records.corpus`` holds no
 record at all (replayed in text and in JSON), to pin the exit-2 error
 of each.  A golden file
 changes only when the output is meant to change.
@@ -82,7 +83,7 @@ CASES = {
     **{case: ["replay", "--all", "--corpus", str(GOLDEN / f"{case}.corpus")]
        for case in ("replay-duplicate-procedure", "replay-empty-tag",
                     "replay-procedure-usage", "replay-unknown-field",
-                    "replay-no-records")},
+                    "replay-wrong-dimension", "replay-no-records")},
     "replay-no-records-json": ["replay", "--all", "--json", "--corpus",
                                str(GOLDEN / "replay-no-records.corpus")],
     "eval-oracle-huge": ["eval", f"1,{NINES} / 7", "--oracle"],

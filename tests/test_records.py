@@ -30,6 +30,7 @@ from sexakit.sexa import Sexa
 from sexakit.units import Dimension, Quantity
 
 NINDAN = Dimension.LENGTH_NINDAN
+VOLUME = Dimension.VOLUME_SAR
 HALF = Quantity(Sexa("0;30"), NINDAN)
 HALF_REPR = ("Quantity(magnitude=Sexa('0;30'), "
              "dim=<Dimension.LENGTH_NINDAN: 'nindan'>)")
@@ -83,13 +84,15 @@ CASES = [
          "CanalConstant(ratio=Sexa('0;48'))"),
     Case(ProcedureSpec, {"name": "p", "params": ("A",), "givens": (),
                          "run": len, "verify": max, "optional_params": ("B",),
-                         "optional_givens": ("V",)},
+                         "optional_givens": (("V", VOLUME),)},
          {"optional_params": (), "optional_givens": ()},
-         {"name": "q", "params": (), "givens": ("V",), "run": min,
-          "verify": len, "optional_params": (), "optional_givens": ("W",)},
+         {"name": "q", "params": (), "givens": (("V", VOLUME),), "run": min,
+          "verify": len, "optional_params": (),
+          "optional_givens": (("W", NINDAN),)},
          {}, "ProcedureSpec(name='p', params=('A',), givens=(), "
              "run=<built-in function len>, verify=<built-in function max>, "
-             "optional_params=('B',), optional_givens=('V',))"),
+             "optional_params=('B',), optional_givens=(('V', "
+             "<Dimension.VOLUME_SAR: 'volume-sar'>),))"),
     Case(ExpectedStep, {"label": "u", "value": Sexa(5), "line": "obv.33",
                         "uncertain": True, "text": "5"},
          {"uncertain": False, "text": "5"},

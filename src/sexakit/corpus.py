@@ -299,7 +299,7 @@ class _ProblemBuilder:
         missing, unknown = [], []
         for kind, required, known in (
                 ("param", spec.params, spec.params + spec.optional_params),
-                ("given", [name for name, _ in spec.givens], dims)):
+                ("given", dict(spec.givens), dims)):
             missing += [n for n in required if n not in fields[kind]]
             unknown += [n for n in fields[kind] if n not in known]
         for names, verb in (missing, "is missing"), (unknown, "has unknown"):

@@ -19,10 +19,12 @@ class Record:
 
     A subclass lists its attributes in ``__slots__``: first the
     parameters of its ``__init__``, in their order, then any state it
-    derives from them, named with a leading underscore.  ``_fields``
-    names the parameters that take part in equality, the hash and the
-    repr; it defaults to every parameter.  ``__init__`` sets each
-    attribute with ``setfield``.
+    derives from them, named with a leading underscore.  A subclass
+    whose parameters are not slots names them in ``__match_args__`` and
+    reads each through a property.  ``_fields`` names the parameters
+    that take part in equality, the hash and the repr; it defaults to
+    every parameter.  ``__init__`` sets each attribute with
+    ``setfield``.
 
     Two records are equal when they are of the same type and their
     ``_fields`` are; any other operand gets ``NotImplemented``.  The hash
@@ -36,8 +38,9 @@ class Record:
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        cls.__match_args__ = tuple(
-            name for name in cls.__slots__ if not name.startswith("_"))
+        if "__match_args__" not in vars(cls):
+            cls.__match_args__ = tuple(
+                name for name in cls.__slots__ if not name.startswith("_"))
         if cls._fields is None:
             cls._fields = cls.__match_args__
         cls._key = attrgetter(*cls._fields)

@@ -67,8 +67,8 @@ _OPERATORS = {"+", "-", "*", "/", "(", ")"}
 _TOKEN_RE = re.compile(r"\s*(?:([0-9,;:]+|[-+*/()×·÷−])|(\S))")
 _SPELLINGS = {"×": "*", "·": "*", "÷": "/", "−": "-"}
 #: Deepest nesting of "(" and unary "-" that ``eval`` accepts; each level
-#: is at most four Python frames, so this stays well inside the recursion
-#: limit.
+#: is at most three Python frames (operand, expression, term), so this
+#: stays well inside the recursion limit.
 _MAX_NESTING = 100
 
 
@@ -79,76 +79,6 @@ def _tokenize(text: str) -> list[str]:
             raise ExpressionError(f"unexpected character {bad!r}")
         tokens.append(_SPELLINGS.get(token, token))
     return tokens
-
-
-class _Evaluator:
-    """Recursive-descent evaluator; division mode set at construction."""
-
-    def __init__(self, tokens: list[str], divide):
-        self.tokens = tokens
-        self.pos = 0
-        self.divide = divide
-        self.depth = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> str:
-        token = self.peek()
-        if token is None:
-            raise ExpressionError("unexpected end of expression")
-        self.pos += 1
-        return token
-
-    def run(self) -> Sexa:
-        value = self.expression()
-        if self.peek() is not None:
-            raise ExpressionError(f"trailing input at {self.peek()!r}")
-        return value
-
-    def expression(self) -> Sexa:
-        value = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.next()
-            right = self.term()
-            value = value + right if op == "+" else value - right
-        return value
-
-    def term(self) -> Sexa:
-        value = self.unary()
-        while self.peek() in ("*", "/"):
-            op = self.next()
-            right = self.unary()
-            value = value * right if op == "*" else self.divide(value, right)
-        return value
-
-    def nest(self) -> None:
-        self.depth += 1
-        if self.depth > _MAX_NESTING:
-            raise ExpressionError(
-                f"expression nests deeper than {_MAX_NESTING} levels")
-
-    def unary(self) -> Sexa:
-        if self.peek() == "-":
-            self.next()
-            self.nest()
-            value = -self.unary()
-            self.depth -= 1
-            return value
-        return self.atom()
-
-    def atom(self) -> Sexa:
-        token = self.next()
-        if token == "(":
-            self.nest()
-            value = self.expression()
-            if self.next() != ")":
-                raise ExpressionError("missing closing parenthesis")
-            self.depth -= 1
-            return value
-        if token in _OPERATORS:
-            raise ExpressionError(f"expected a literal, got {token!r}")
-        return Sexa(token)
 
 
 def _scribal_divide(n: Sexa, d: Sexa) -> Sexa:
@@ -162,13 +92,58 @@ def _oracle_divide(n: Sexa, d: Sexa) -> Sexa:
 
 
 def evaluate_expression(text: str, mode: str = "scribal") -> Sexa:
-    """Evaluate an infix expression; mode is scribal|recognize|oracle."""
+    """Evaluate an infix expression; mode is scribal|recognize|oracle.
+
+    Recursive descent over the tokens, kept reversed so that the next
+    one is ``tokens[-1]``.  ``depth`` counts the "(" and unary "-" that
+    enclose an operand; ``operand`` refuses one past ``_MAX_NESTING``.
+    """
     divide = {
         "scribal": _scribal_divide,
         "recognize": divide_by_recognition,
         "oracle": _oracle_divide,
     }[mode]
-    return _Evaluator(_tokenize(text), divide).run()
+    tokens = _tokenize(text)[::-1]
+
+    def take() -> str:
+        if not tokens:
+            raise ExpressionError("unexpected end of expression")
+        return tokens.pop()
+
+    def operand(depth: int) -> Sexa:
+        token = take()
+        if token in ("-", "("):
+            if depth >= _MAX_NESTING:
+                raise ExpressionError(
+                    f"expression nests deeper than {_MAX_NESTING} levels")
+            if token == "-":
+                return -operand(depth + 1)
+            value = expression(depth + 1)
+            if take() != ")":
+                raise ExpressionError("missing closing parenthesis")
+            return value
+        if token in _OPERATORS:
+            raise ExpressionError(f"expected a literal, got {token!r}")
+        return Sexa(token)
+
+    def term(depth: int) -> Sexa:
+        value = operand(depth)
+        while tokens and tokens[-1] in ("*", "/"):
+            op, right = take(), operand(depth)
+            value = value * right if op == "*" else divide(value, right)
+        return value
+
+    def expression(depth: int) -> Sexa:
+        value = term(depth)
+        while tokens and tokens[-1] in ("+", "-"):
+            op, right = take(), term(depth)
+            value = value + right if op == "+" else value - right
+        return value
+
+    value = expression(0)
+    if tokens:
+        raise ExpressionError(f"trailing input at {tokens[-1]!r}")
+    return value
 
 
 # -- output helpers ------------------------------------------------------------

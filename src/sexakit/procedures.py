@@ -90,28 +90,33 @@ class StepTrace(Record):
     ``record`` is the one way a step enters a trace: the constructor and
     ``extend`` go through it, and so do copy and pickle, which rebuild a
     trace from its ``steps``.  So a label appears at most once, and a
-    repeat raises ``MalformedProblem``.  A label index kept beside
-    ``steps`` makes ``record`` (with its duplicate check), lookup and
-    ``in`` constant-time, so a trace of n steps costs O(n) to build, not
-    O(n**2).  A trace keeps its own list, so a copied trace grows apart
-    from the original.  Like every record it refuses assignment to its
-    fields; it grows only through ``record``, and it has no hash.
+    repeat raises ``MalformedProblem``.  The steps are kept in one dict
+    by label, in the order recorded, so ``record`` (with its duplicate
+    check), lookup and ``in`` are constant-time, and a trace of n steps
+    costs O(n) to build, not O(n**2).  ``steps`` is a new list on each
+    read: changing it leaves the trace as it was, and a copied trace
+    grows apart from the original.  Like every record it refuses
+    assignment to its fields; it grows only through ``record``, and it
+    has no hash.
     """
 
-    __slots__ = ("steps", "_index")
+    __slots__ = ("_steps",)
+    __match_args__ = ("steps",)
     __hash__ = None
 
     def __init__(self, steps: Iterable[Step] = ()):
-        setfield(self, "steps", [])
-        setfield(self, "_index", {})
+        setfield(self, "_steps", {})
         self.extend(steps)
+
+    @property
+    def steps(self) -> list[Step]:
+        return list(self._steps.values())
 
     def record(self, label: str, value: TraceValue,
                source: str = "derived") -> TraceValue:
-        if label in self._index:
+        if label in self._steps:
             raise MalformedProblem(f"duplicate step label {label!r}")
-        step = self._index[label] = Step(label, value, source)
-        self.steps.append(step)
+        self._steps[label] = Step(label, value, source)
         return value
 
     def extend(self, steps: Iterable[Step]) -> None:
@@ -119,17 +124,17 @@ class StepTrace(Record):
             self.record(step.label, step.value, step.source)
 
     def __iter__(self) -> Iterator[Step]:
-        return iter(self.steps)
+        return iter(self._steps.values())
 
     def __getitem__(self, label: str) -> TraceValue:
-        return self._index[label].value
+        return self._steps[label].value
 
     def __contains__(self, label: str) -> bool:
-        return label in self._index
+        return label in self._steps
 
     def to_text(self) -> str:
         lines = []
-        for step in self.steps:
+        for step in self:
             value = render(step.magnitude())
             if isinstance(step.value, Quantity):
                 value += f" {step.value.dim.value}"
@@ -137,7 +142,7 @@ class StepTrace(Record):
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        return {"steps": [s.to_dict() for s in self.steps]}
+        return {"steps": [s.to_dict() for s in self]}
 
 
 class QuadraticProblem(Record):

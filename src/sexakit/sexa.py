@@ -59,13 +59,16 @@ p**e, each linear in the length of the number, so it keeps a quadratic
 term.  Rejecting an irregular number is the exception: naming the
 prime in ``IrregularDivisor``/``NonTerminating`` searches the non-smooth
 part m for its smallest prime p among the integers coprime to 30, up to
-sqrt(m) when m is prime, or up to ``_PRIME_SEARCH_LIMIT`` (10**6),
-whichever comes first.  It takes one
+sqrt(m) when m is prime, or up to ``_LAST_CANDIDATE`` (1000021, the end
+of the wheel turn that holds ``_PRIME_SEARCH_LIMIT``, 10**6), whichever
+comes first.  It takes one
 gcd of m with the product of the primes among each block of candidates
 (blocks of 8, 16, 32, ... candidates, then 1024 at a time): at most 267
 gcds, each of m and a product of at most about 6 100 bits, then at most
-one walk of one block that divides the shared factor, not m.  Past the
-limit the error names no prime (``.prime`` is None).
+one walk of one block that divides the shared factor, not m.  An m
+below 1000021**2 that no candidate divides is prime and is named
+itself; any other m past the search names no prime (``.prime`` is
+None).
 
 Small values (a few groups, as in a tablet replay) cost bookkeeping more
 than arithmetic, so ``Sexa`` does its own.  When the other operand's

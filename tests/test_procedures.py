@@ -1,5 +1,6 @@
 """Scribal procedures: completing the square, sum-difference, recognition."""
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -292,6 +293,18 @@ class TestStepTrace:
         with pytest.raises(MalformedProblem):
             rebuilt.record("s0", Sexa(0))
         assert "_index" not in repr(StepTrace())
+
+    def test_changing_the_steps_list_leaves_the_trace(self):
+        # ``steps`` is a new list on each read: appending to it neither
+        # repeats a label in the text nor breaks a copy.
+        trace = StepTrace()
+        trace.record("a", Sexa(1))
+        trace.steps.append(Step("a", Sexa(2)))
+        assert trace.steps == [Step("a", Sexa(1))]
+        assert trace.to_text() == "a = 1 @ derived"
+        assert copy.copy(trace) == trace
+        # ``steps`` is a property, not a slot, and still a match field.
+        assert StepTrace.__match_args__ == ("steps",)
 
     def test_text_and_dict_forms(self):
         trace = StepTrace()

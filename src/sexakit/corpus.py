@@ -19,6 +19,13 @@ marks a value the edition prints with "(?)" (replay still checks it,
 since the arithmetic does confirm it; the flag is carried through to
 the report).
 
+``load_corpus`` reads and decodes the whole file before it parses a
+line, so a file that cannot be read or is not UTF-8 is reported before
+any error in a line.  It then splits the text into lines a block of
+about ``_LINE_BLOCK`` characters at a time: a load holds the decoded
+file, the problems built so far and one block of lines, never a list of
+every line of the file.
+
 ``PROCEDURES`` is the one table of procedures: each ``ProcedureSpec``
 gives a corpus name, the params and givens a record for it must carry
 and those it may carry, each given with its dimension, ``run(problem)
@@ -48,7 +55,6 @@ import re
 import sys
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from pathlib import Path
 from types import MappingProxyType
 
 from ._record import Record, setfield
@@ -262,8 +268,29 @@ _FIELD_RE = re.compile(
     r"(?P<kind>procedure|given|param|expect)\b\s*(?P<rest>.*)$")
 
 
-def bundled_corpus_path() -> Path:
-    return Path(__file__).parent / "data" / _BUNDLED_NAME
+_BUNDLED_PATH = os.path.join(os.path.dirname(__file__), "data", _BUNDLED_NAME)
+
+
+def bundled_corpus_path():
+    """The bundled corpus file, as a ``pathlib.Path``.  ``pathlib`` is
+    imported when this is called, so that a load does not import it."""
+    import pathlib
+    return pathlib.Path(_BUNDLED_PATH)
+
+
+#: The fewest characters ``_lines`` splits at once: a block runs on to the
+#: next newline.
+_LINE_BLOCK = 1 << 16
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The items of ``text.split("\n")``, split one block at a time, so a
+    load never holds a list of every line of a large file."""
+    start = 0
+    while (end := text.find("\n", start + _LINE_BLOCK)) >= 0:
+        yield from text[start:end].split("\n")
+        start = end + 1
+    yield from text[start:].split("\n")
 
 
 #: What differs between the value fields, by kind: the usage message,
@@ -336,9 +363,10 @@ def load_corpus(path: str | os.PathLike | None = None) -> list[TabletProblem]:
     With no path, uses $SEXAKIT_CORPUS if set, else the bundled corpus.
     """
     if path is None:
-        path = os.environ.get("SEXAKIT_CORPUS") or bundled_corpus_path()
+        path = os.environ.get("SEXAKIT_CORPUS") or _BUNDLED_PATH
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(os.fspath(path), encoding="utf-8") as file:
+            text = file.read()
     except OSError as exc:
         raise CorpusParseError(
             f"cannot read corpus {str(path)!r}: {exc.strerror or exc}"
@@ -358,7 +386,7 @@ def load_corpus(path: str | os.PathLike | None = None) -> list[TabletProblem]:
             problems.append(builder.finish())
             builder = None
 
-    for line_no, raw in enumerate(text.split("\n"), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         if not raw.isascii():
             raise CorpusParseError("corpus files must be 7-bit text",
                                    line=line_no)

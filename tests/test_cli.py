@@ -88,6 +88,10 @@ class TestEvalExpression:
         assert code == EXIT_INPUT
         assert err.startswith("error:")
 
+    def test_unclosed_parenthesis_message(self, capsys):
+        assert run(capsys, "eval", "(1 2") \
+            == (EXIT_INPUT, "", "error: missing closing parenthesis\n")
+
     def test_bad_literal_is_input_error(self, capsys):
         code, _, _ = run(capsys, "eval", "1,61 + 1")
         assert code == EXIT_INPUT
@@ -259,6 +263,25 @@ class TestReplayCommand:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == ["", "0 False", "0 True"]
 
+    def test_replay_all_leaves_pathlib_unimported(self):
+        # Only bundled_corpus_path needs pathlib, and a load does not call
+        # it.  Without site, which may import pathlib itself, a replay of
+        # the bundled corpus does not import it.
+        script = (
+            "import contextlib, io, sys\n"
+            "import sexakit.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = sexakit.cli.main(['replay', '--all'])\n"
+            "print(code, 'pathlib' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(
+            os.path.dirname(sexakit.__file__))}
+        env.pop("SEXAKIT_CORPUS", None)
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True,
+            text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "0 False\n"
+
     def test_unknown_problem(self, capsys):
         code, _, err = run(capsys, "replay", "nosuch")
         assert code == EXIT_INPUT
@@ -289,6 +312,15 @@ class TestReplayCommand:
         code, _, err = run(capsys, "replay", "--all", "--corpus", str(path))
         assert code == EXIT_INPUT
         assert "61" in err
+
+    def test_unknown_expect_kind_exits_two_at_its_line(self, capsys,
+                                                       tmp_path):
+        path = tmp_path / "bad.corpus"
+        path.write_text("[problem t.p1]\nprocedure = quadratic\n"
+                        "expect stepp u = 1 @ obv.1\n")
+        assert run(capsys, "replay", "--all", "--corpus", str(path)) \
+            == (EXIT_INPUT, "", "error: line 3: expect must be 'step' or "
+                "'answer', got 'stepp'\n")
 
     @pytest.mark.parametrize("text", ["", "# only a comment\n", "\n\n"])
     @pytest.mark.parametrize("flags", [[], ["--json"]])

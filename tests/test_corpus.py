@@ -4,8 +4,11 @@ import copy
 import pickle
 import time
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import sexakit.corpus
 import sexakit.geometry
@@ -16,6 +19,7 @@ from sexakit.corpus import (
     ExpectedStep,
     ProcedureSpec,
     TabletProblem,
+    _lines,
     bundled_corpus_path,
     find_problem,
     load_corpus,
@@ -36,6 +40,7 @@ from sexakit.geometry import SMALL_CANAL_CONSTANT, breadths_from_constraints
 from sexakit.procedures import replay_smt24_p2, solve_sum_difference
 from sexakit.sexa import Sexa, parse, reciprocal, render
 from sexakit.units import Dimension, Quantity
+from test_generated_corpus import PROBLEMS as GENERATED, gen
 
 
 #: A TabletProblem's mapping fields.
@@ -62,8 +67,15 @@ class TestLoad:
         assert [p.procedure.name for p in bundled] == [
             "quadratic", "rect-canal-system", "labor-depth"]
 
-    def test_bundled_path_exists(self):
-        assert bundled_corpus_path().is_file()
+    def test_bundled_path_exists(self, monkeypatch):
+        monkeypatch.delenv("SEXAKIT_CORPUS", raising=False)
+        path = bundled_corpus_path()
+        assert isinstance(path, Path) and path.is_file()
+        assert load_corpus(path) == load_corpus()
+
+    def test_a_path_of_another_type_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            load_corpus(5)
 
     def test_smt24_p1_fields(self, bundled):
         p = bundled[0]
@@ -331,6 +343,52 @@ class TestLoad:
         assert find_problem(bundled, "smt25.p1").id == "smt25.p1"
         with pytest.raises(UnknownProblem):
             find_problem(bundled, "nosuch")
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def load_outcome(path):
+    """What loading ``path`` gives: each problem with the report texts
+    that its equality skips, or the error's type, message, line and
+    column."""
+    try:
+        problems = load_corpus(path)
+    except CorpusParseError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+    return [(p, [s.text for s in p.expected_steps], dict(p.answer_texts))
+            for p in problems]
+
+
+class TestLineBlocks:
+    """A load splits its text into lines one block at a time; where the
+    blocks end changes nothing that it returns or raises."""
+
+    @given(text=st.text(alphabet="a\n# =", max_size=40),
+           block=st.integers(1, 8))
+    @example(text="", block=1)
+    @example(text="a\n", block=1)
+    @example(text="\n", block=1)
+    @example(text="\n\n\n\n", block=2)
+    @example(text="a\n\n# =\n\n", block=3)
+    def test_lines_are_the_split_of_the_text(self, text, block):
+        with mock.patch.object(sexakit.corpus, "_LINE_BLOCK", block):
+            assert list(_lines(text)) == text.split("\n")
+
+    @pytest.mark.parametrize("name", ["generated", *sorted(
+        path.name for path in GOLDEN.glob("*.corpus"))])
+    def test_a_load_is_the_same_at_every_block_size(self, tmp_path, name):
+        if name == "generated":
+            path = tmp_path / name
+            path.write_text(gen.write_corpus(GENERATED), "ascii")
+        else:
+            path = GOLDEN / name
+        outcomes = []
+        for block in (1, 7, sexakit.corpus._LINE_BLOCK):
+            with mock.patch.object(sexakit.corpus, "_LINE_BLOCK", block):
+                outcomes.append(load_outcome(path))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0] or name == "replay-no-records.corpus"
 
 
 #: The smallest record of each registered procedure, with one answer

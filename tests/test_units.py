@@ -168,6 +168,23 @@ class TestQuantity:
         assert Quantity(5, N) * Sexa(1, 2) == Quantity(Sexa("2;30"), N)
         assert 2 * Quantity(5, N) == Quantity(10, N)
 
+    def test_a_quantity_needs_a_dimension(self):
+        with pytest.raises(DimensionMismatch) as err:
+            Quantity(1, "nindan")
+        assert str(err.value) == "not a dimension: 'nindan'"
+
+    def test_times_a_quantity_is_qmul(self):
+        assert Quantity(5, N) * Quantity(8, K) \
+            == qmul(Quantity(5, N), Quantity(8, K)) == Quantity(40, X)
+
+    @pytest.mark.parametrize("product", [lambda q: q * 1.5,
+                                         lambda q: 1.5 * q])
+    def test_times_a_float_is_unsupported(self, product):
+        # A quantity is never scaled inexactly: __mul__ returns
+        # NotImplemented for a float, so Python raises TypeError.
+        with pytest.raises(TypeError, match="unsupported operand"):
+            product(Quantity(1, N))
+
     def test_text_form(self):
         assert str(Quantity(Sexa("2;15"), X)) == "2;15 nindan-kus"
         assert str(Quantity(1440, V)) == "24,0 volume-sar"

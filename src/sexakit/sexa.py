@@ -53,22 +53,21 @@ groups grows about 4x per doubling.  ``render`` still grows about 3.8x
 per doubling, because the long division of 3.10 and 3.11 is schoolbook
 (about 3x on 3.12 and 3.13).  Wall-clock timings drift with the machine
 and the interpreter, so they are kept with their hardware in ROADMAP.md
-(item 3), not here.  Stripping 2, 3 and 5 (``is_regular``,
+(item 4), not here.  Stripping 2, 3 and 5 (``is_regular``,
 ``reciprocal``) takes one shift and O(log e) divisions per prime power
 p**e, each linear in the length of the number, so it keeps a quadratic
 term.  Rejecting an irregular number is the exception: naming the
 prime in ``IrregularDivisor``/``NonTerminating`` searches the non-smooth
-part m for its smallest prime p among the integers coprime to 30, up to
-sqrt(m) when m is prime, or up to ``_LAST_CANDIDATE`` (1000021, the end
-of the wheel turn that holds ``_PRIME_SEARCH_LIMIT``, 10**6), whichever
-comes first.  It takes one
-gcd of m with the product of the primes among each block of candidates
-(blocks of 8, 16, 32, ... candidates, then 1024 at a time): at most 267
-gcds, each of m and a product of at most about 6 100 bits, then at most
-one walk of one block that divides the shared factor, not m.  An m
-below 1000021**2 that no candidate divides is prime and is named
-itself; any other m past the search names no prime (``.prime`` is
-None).
+part m for its smallest prime p, up to sqrt(m) when m is prime, or up
+to ``_LAST_CANDIDATE`` (1000021, just past ``_PRIME_SEARCH_LIMIT``,
+10**6), whichever comes first.  It takes one gcd of m with the product
+of the primes in each block [lo, hi) of integers (30, 60, 120, ...
+integers from 7, then 3840 at a time): at most 267 gcds, each of m and
+a product of at most about 6 100 bits, then at most one walk of the odd
+integers of one block that divides the shared factor, not m.  An m
+below 1000021**2 that no prime up to 1000021 divides is prime and is
+named itself; any other m past the search names no prime (``.prime``
+is None).
 
 Small values (a few groups, as in a tablet replay) cost bookkeeping more
 than arithmetic, so ``Sexa`` does its own.  When the other operand's
@@ -90,19 +89,16 @@ use a ``Fraction`` argument as it is and build any other with
 ``Sexa()``, so each refuses a float, parses a literal string and
 refuses a NaN or infinite ``Decimal`` with ``MalformedLiteral``.
 
-Four tables are kept between calls.  Two are built at import, in about
-0.3 ms: ``_GROUP_VALUES``, the value of each of the 70 group spellings
-the grammar accepts ("0".."59" and "00".."09"), and ``_DIGIT_PAIRS``, the
-3600 texts "0,0" to "59,59" (about 220 KiB).  The other two are
-constants of the prime search, empty at import.  ``_BLOCK_PRODUCTS``
-holds the product of the primes among each block's candidates, found by
-a segmented sieve of the block by ``_SIEVING_PRIMES``, the 168 primes up
-to 1000, which are sieved with the first product.  A block's product is
-built the first time a search reaches that block, so a search that stops
-at p builds only the blocks up to p.  All 267 products together take
-about 180 KB, under a third of the size of the products of every
-candidate, and about 0.1 s to build, half the time those took (3.11.7,
-2 vCPU).
+Four tables are kept between calls.  Three are built at import:
+``_GROUP_VALUES``, the value of each of the 70 group spellings the
+grammar accepts ("0".."59" and "00".."09"), ``_DIGIT_PAIRS``, the 3600
+texts "0,0" to "59,59" (about 220 KiB), and ``_SIEVING_PRIMES``, the 168
+primes up to 1000.  The fourth, ``_BLOCK_PRODUCTS``, is empty at import.
+It holds the product of the primes in each block, found by a segmented
+sieve of the block by ``_SIEVING_PRIMES``.  A block's product is built
+the first time a search reaches that block, so a search that stops at p
+builds only the blocks up to p.  All 267 products together take about
+180 KB.
 """
 
 from __future__ import annotations
@@ -136,37 +132,21 @@ __all__ = [
     "is_regular",
 ]
 
-#: The integers coprime to 30 from 7 on, the candidates of the prime
-#: search, are 30*t + r for r here, one turn t = 0, 1, 2, ... at a time.
-_WHEEL = (7, 11, 13, 17, 19, 23, 29, 31)
 #: Every prime up to this limit is named in an error.  The search stops
-#: at the end of the wheel's turn that holds it: its last candidate is
-#: ``_LAST_CANDIDATE`` (1 000 021), about 267 000 candidates in all.
+#: at ``_LAST_CANDIDATE``, where the wheel search it replaced stopped.
 _PRIME_SEARCH_LIMIT = 10 ** 6
-_SEARCH_TURNS = (_PRIME_SEARCH_LIMIT - _WHEEL[0]) // 30 + 1
-_LAST_CANDIDATE = 30 * (_SEARCH_TURNS - 1) + _WHEEL[-1]
-
-
-def _search_blocks() -> tuple[range, ...]:
-    """The prime search's blocks of turns of the wheel: 1, 2, 4, ...
-    turns, then 128 at a time, the last one cut at ``_SEARCH_TURNS``."""
-    blocks, size = [range(0, 1)], 1
-    while blocks[-1].stop < _SEARCH_TURNS:
-        start, size = blocks[-1].stop, min(2 * size, 128)
-        blocks.append(range(start, min(start + size, _SEARCH_TURNS)))
-    return tuple(blocks)
-
-
-_BLOCKS = _search_blocks()
-#: The product of the primes among each block's candidates, keyed by its
-#: first candidate: a constant of the search, built the first time a
-#: search reaches its block.
+_LAST_CANDIDATE = 1000021
+#: The prime search's blocks [lo, hi), each with lo*lo >= hi: 30, 60,
+#: 120, ... integers wide from 7, then 3840 at a time.  The last one
+#: ends at 1000027, as the wheel search's did: no prime lies between
+#: ``_LAST_CANDIDATE`` and it.
+_BLOCKS = tuple(itertools.pairwise(
+    (7, 37, 97, 217, 457, 937, 1897, 3817,
+     *range(7657, _LAST_CANDIDATE, 3840), _LAST_CANDIDATE + 6)))
+#: The product of the primes in each block, keyed by its lo: a constant
+#: of the search, built the first time a search reaches its block.  This
+#: is the only table that changes after import.
 _BLOCK_PRODUCTS: dict[int, int] = {}
-#: The primes up to 1000, which sieve every block: each composite
-#: candidate, up to ``_LAST_CANDIDATE`` < 1009**2, has a prime factor
-#: among them.  Built with the first block product.  These two are the
-#: only tables that change after import.
-_SIEVING_PRIMES: list[int] = []
 
 
 def _sieve(lo: int, hi: int, primes: list[int]) -> list[int]:
@@ -185,14 +165,9 @@ def _sieve(lo: int, hi: int, primes: list[int]) -> list[int]:
     return list(itertools.compress(range(lo, hi), sieve))
 
 
-def _block_product(turns: range) -> int:
-    """The product of the primes among a block's candidates: the primes
-    from its first candidate to the last, by a segmented sieve."""
-    if not _SIEVING_PRIMES:
-        # Racing threads store the same primes.
-        _SIEVING_PRIMES[:] = _sieve(2, 1001, _sieve(2, 32, [2, 3, 5]))
-    return math.prod(_sieve(30 * turns.start + _WHEEL[0],
-                            30 * turns.stop + _WHEEL[0], _SIEVING_PRIMES))
+#: The primes up to 1000, which sieve every block: each composite below
+#: the last block's hi, 1000027 < 1009**2, has a prime factor among them.
+_SIEVING_PRIMES = _sieve(2, 1001, _sieve(2, 32, [2, 3, 5]))
 
 
 def _reduced(n: int, d: int) -> Sexa:
@@ -324,15 +299,9 @@ class Sexa(Fraction):
             if isinstance(value, float):
                 raise TypeError("Sexa cannot be built from a float; "
                                 "use a literal string or integer ratio")
-        try:
-            return super().__new__(cls, value, denominator)
-        except (ValueError, OverflowError):
-            # Fraction reads a Decimal by as_integer_ratio, which refuses
-            # a NaN with ValueError and an infinity with OverflowError.
             if isinstance(value, Decimal) and not value.is_finite():
-                raise MalformedLiteral(
-                    f"{value!r}: not a finite number") from None
-            raise
+                raise MalformedLiteral(f"{value!r}: not a finite number")
+        return super().__new__(cls, value, denominator)
 
     # Closed arithmetic: every result is a Sexa again.
     __add__, __radd__ = _operators(_add, Fraction.__add__, Fraction.__radd__)
@@ -411,26 +380,26 @@ _DIGIT_PAIRS = tuple(map(",".join, itertools.product(map(str, range(60)),
 
 
 def _malformed(text: str, s: str) -> MalformedLiteral:
-    """The error for a stripped literal s that ``parse`` refused: the
-    first fault met walking its sign, radix points and digit groups."""
+    """The error for a stripped literal s that ``parse`` refused: an
+    empty literal, a second radix point, or else the fault of its first
+    digit group that ``_GROUP_VALUES`` lacks."""
     s = s.removeprefix("-")
     if not s:
         return MalformedLiteral(f"{text!r}: empty literal")
     head, sep, tail = s.replace(":", ";").partition(";")
     if ";" in tail:
         return MalformedLiteral(f"{text!r}: more than one radix point")
-    for raw in (head + "," + tail if sep else head).split(","):
-        if raw == "":
-            return MalformedLiteral(f"{text!r}: empty digit group")
-        if not raw.isascii() or not raw.isdigit():
-            return MalformedLiteral(f"{text!r}: bad digit group {raw!r}")
-        if len(raw) > 2:
-            return MalformedLiteral(
-                f"{text!r}: digit group {raw!r} is longer than two digits")
-        if int(raw) > 59:
-            return MalformedLiteral(
-                f"{text!r}: digit {int(raw)} out of range 0..59")
-    return MalformedLiteral(f"{text!r}: not a sexagesimal literal")
+    groups = (head + "," + tail if sep else head).split(",")
+    raw = next(g for g in groups if g not in _GROUP_VALUES)
+    if raw == "":
+        return MalformedLiteral(f"{text!r}: empty digit group")
+    if not raw.isascii() or not raw.isdigit():
+        return MalformedLiteral(f"{text!r}: bad digit group {raw!r}")
+    if len(raw) > 2:
+        return MalformedLiteral(
+            f"{text!r}: digit group {raw!r} is longer than two digits")
+    # One or two ASCII digits that are not a key: "60" to "99".
+    return MalformedLiteral(f"{text!r}: digit {int(raw)} out of range 0..59")
 
 
 def parse(text: str) -> Sexa:
@@ -531,37 +500,38 @@ def _smallest_prime_factor(n: int) -> int | None:
     """The smallest prime factor of n > 1, found by a blockwise search.
 
     Trial division by 2, 3 and 5, then one gcd of n with the product of
-    each block of wheel candidates in turn.  The first block that shares
-    a factor with n holds n's smallest prime p.  That shared factor g
-    has no prime below the block's first candidate lo (an earlier block
-    would have shared it), so g is p itself when g < lo*lo; else g is
-    walked candidate by candidate.  The search stops with n at the first
-    block with lo*lo > n (then n is prime).  Past ``_LAST_CANDIDATE`` it
-    gives n when n < _LAST_CANDIDATE**2 (n is prime), else None: then n
-    has only prime factors above ``_PRIME_SEARCH_LIMIT``.
+    the primes in each block in turn.  The first block that shares a
+    factor with n holds n's smallest prime p.  That shared factor g has
+    no prime below the block's lo (an earlier block would have shared
+    it), so g is p itself when g < lo*lo; else g is walked odd integer
+    by odd integer.  The search stops with n at the first block with
+    lo*lo > n (then n is prime).  Past ``_LAST_CANDIDATE`` it gives n
+    when n < _LAST_CANDIDATE**2 (n is prime), else None: then n has
+    only prime factors above ``_PRIME_SEARCH_LIMIT``.
     """
     for p in (2, 3, 5):
         if n % p == 0:
             return p
-    for turns in _BLOCKS:
-        lo = 30 * turns.start + _WHEEL[0]
+    for lo, hi in _BLOCKS:
         if lo * lo > n:
             return n
         product = _BLOCK_PRODUCTS.get(lo)
         if product is None:
             # Racing threads build the same value: whichever stores
             # first wins, and every caller gets an equal product.
-            product = _BLOCK_PRODUCTS.setdefault(lo, _block_product(turns))
+            product = _BLOCK_PRODUCTS.setdefault(
+                lo, math.prod(_sieve(lo, hi, _SIEVING_PRIMES)))
         g = math.gcd(n, product)
         if g > 1:
             if g < lo * lo:
                 return g
-            # g is the product of the block's primes that divide n, so
-            # the first candidate that divides g is the least of them.
-            for t in turns:
-                for r in _WHEEL:
-                    if g % (30 * t + r) == 0:
-                        return 30 * t + r
+            # g is the odd product of the block's primes that divide n.
+            # A composite c < hi has a prime factor below sqrt(hi) <= lo,
+            # which g lacks, so the first odd c that divides g is the
+            # least of them.
+            for c in range(lo | 1, hi, 2):
+                if g % c == 0:
+                    return c
     return n if n < _LAST_CANDIDATE * _LAST_CANDIDATE else None
 
 

@@ -1,4 +1,12 @@
-"""Shared pytest wiring: a terminal summary for the acceptance suite."""
+"""Shared pytest wiring: ``SEXAKIT_CORPUS`` unset, and a terminal summary
+for the acceptance suite."""
+
+import os
+
+# Tier-1 replays the bundled corpus: a caller's SEXAKIT_CORPUS must not
+# reach a module-scoped fixture or a subprocess.  Tests of the variable
+# set it themselves.
+os.environ.pop("SEXAKIT_CORPUS", None)
 
 _ACCEPTANCE_RESULTS: dict[str, str] = {}
 

@@ -275,7 +275,6 @@ class TestReplayCommand:
             "print(code, 'pathlib' in sys.modules)\n")
         env = {**os.environ, "PYTHONPATH": os.path.dirname(
             os.path.dirname(sexakit.__file__))}
-        env.pop("SEXAKIT_CORPUS", None)
         done = subprocess.run(
             [sys.executable, "-S", "-c", script], capture_output=True,
             text=True, env=env, timeout=60)

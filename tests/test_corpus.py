@@ -67,8 +67,7 @@ class TestLoad:
         assert [p.procedure.name for p in bundled] == [
             "quadratic", "rect-canal-system", "labor-depth"]
 
-    def test_bundled_path_exists(self, monkeypatch):
-        monkeypatch.delenv("SEXAKIT_CORPUS", raising=False)
+    def test_bundled_path_exists(self):
         path = bundled_corpus_path()
         assert isinstance(path, Path) and path.is_file()
         assert load_corpus(path) == load_corpus()

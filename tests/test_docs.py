@@ -62,8 +62,7 @@ def test_command_block_is_found():
 
 @pytest.mark.parametrize(
     "line", COMMANDS, ids=lambda line: " ".join(line.split("#")[0].split()))
-def test_readme_command(capsys, monkeypatch, line):
-    monkeypatch.delenv("SEXAKIT_CORPUS", raising=False)
+def test_readme_command(capsys, line):
     command, _, comment = line.partition("#")
     comment = comment.strip()
     code = main(shlex.split(command)[1:])

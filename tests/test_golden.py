@@ -10,6 +10,5 @@ from golden_cases import CASES, expected, transcript
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_golden_output(monkeypatch, case):
-    monkeypatch.delenv("SEXAKIT_CORPUS", raising=False)
+def test_golden_output(case):
     assert transcript(CASES[case]) == expected(case)

@@ -34,7 +34,6 @@ from sexakit.sexa import (
     _CANONICAL,
     _LAST_CANDIDATE,
     _PRIME_SEARCH_LIMIT,
-    _WHEEL,
     Sexa,
     _digits,
     _expansion_exponent,
@@ -692,9 +691,8 @@ def small_prime_from(n: int) -> int:
     return n
 
 
-#: The first candidate of every block, and the first one past the search.
-BLOCK_BOUNDARIES = [30 * turns.start + 7 for turns in _BLOCKS] + [
-    _LAST_CANDIDATE + 6]
+#: The bounds of every block: each lo, and the last hi.
+BLOCK_BOUNDARIES = [lo for lo, hi in _BLOCKS] + [_BLOCKS[-1][1]]
 
 #: A prime within 120 of a block boundary, on either side of it.
 primes_near_boundaries = st.builds(
@@ -702,8 +700,18 @@ primes_near_boundaries = st.builds(
     st.sampled_from(BLOCK_BOUNDARIES), st.integers(-120, 120))
 
 
-def block_candidates(turns: range) -> list[int]:
-    return [30 * t + r for t in turns for r in _WHEEL]
+def wheel_blocks() -> list[tuple[int, int]]:
+    """The blocks of the wheel search that the block search replaced, as
+    [lo, hi) bounds: 1, 2, 4, ... turns t of 30*t + 7 to 30*t + 36, then
+    128 turns at a time, cut at the end of the turn that holds
+    ``_PRIME_SEARCH_LIMIT``."""
+    turns = (_PRIME_SEARCH_LIMIT - 7) // 30 + 1
+    blocks, start, size = [], 0, 1
+    while start < turns:
+        stop = min(start + size, turns)
+        blocks.append((30 * start + 7, 30 * stop + 7))
+        start, size = stop, min(2 * size, 128)
+    return blocks
 
 
 def prime_flags(limit: int) -> bytearray:
@@ -718,12 +726,21 @@ def prime_flags(limit: int) -> bytearray:
 
 
 class TestBlockSearch:
-    def test_blocks_cover_the_wheel_up_to_the_last_candidate(self):
-        turns = [t for block in _BLOCKS for t in block]
-        assert turns == list(range(len(turns)))
-        assert max(block_candidates(_BLOCKS[-1])) == _LAST_CANDIDATE
+    def test_blocks_are_the_wheel_search_blocks(self):
+        assert list(_BLOCKS) == wheel_blocks()
+        assert len(_BLOCKS) == 267
+        assert _BLOCKS[-1] == (998377, 1000027)
         assert _LAST_CANDIDATE == 1000021
         assert _LAST_CANDIDATE >= _PRIME_SEARCH_LIMIT
+
+    def test_blocks_tile_the_search_with_lo_squared_past_hi(self):
+        # The walk of a block is exact only when every composite in it
+        # has a prime factor below lo.
+        assert _BLOCKS[0][0] == 7
+        assert all(a[1] == b[0] for a, b in zip(_BLOCKS, _BLOCKS[1:]))
+        assert all(lo * lo >= hi for lo, hi in _BLOCKS)
+        lo, hi = _BLOCKS[-1]
+        assert lo <= _LAST_CANDIDATE < hi
 
     @pytest.mark.parametrize("n,p", [
         # isqrt(n) == 1000020: a prime is named as itself.
@@ -743,6 +760,8 @@ class TestBlockSearch:
         (1000033 * 1000037, None),
         # Two primes of one block: the gcd is their product, then walked.
         (101 * 103, 101),
+        (29 * 31, 29),
+        (7 * 11 * 13, 7),
         (999979 * 999983, 999979),
         (999979 * 999983 * SEMIPRIME, 999979),
         # A squared prime and another prime of one block: the gcd is
@@ -785,7 +804,6 @@ class TestBlockSearch:
         sys.setswitchinterval(1e-6)
         try:
             sexa._BLOCK_PRODUCTS.clear()
-            sexa._SIEVING_PRIMES.clear()
             threads = [threading.Thread(target=search, args=(i,))
                        for i in range(4)]
             for thread in threads:
@@ -797,24 +815,20 @@ class TestBlockSearch:
             sys.setswitchinterval(interval)
         assert results == [expected] * 4
         assert len(sexa._BLOCK_PRODUCTS) == len(_BLOCKS)
-        is_prime = prime_flags(_LAST_CANDIDATE)
-        assert sexa._SIEVING_PRIMES == [
-            p for p in range(1001) if is_prime[p]]
-        for turns in _BLOCKS:
-            lo = 30 * turns.start + 7
+        is_prime = prime_flags(_BLOCKS[-1][1])
+        for lo, hi in _BLOCKS:
             assert sexa._BLOCK_PRODUCTS[lo] == math.prod(
-                c for c in block_candidates(turns) if is_prime[c])
+                c for c in range(lo, hi) if is_prime[c])
 
     def test_no_product_is_built_by_import_or_replay(self):
         script = (
             "import contextlib, io\n"
             "import sexakit\n"
             "from sexakit import cli, sexa\n"
-            "tables = sexa._BLOCK_PRODUCTS, sexa._SIEVING_PRIMES\n"
-            "print(*map(len, tables))\n"
+            "print(len(sexa._BLOCK_PRODUCTS))\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = cli.main(['replay', '--all'])\n"
-            "print(code, *map(len, tables))\n")
+            "print(code, len(sexa._BLOCK_PRODUCTS))\n")
         src = os.path.dirname(os.path.dirname(sexakit.__file__))
         path = os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -822,7 +836,7 @@ class TestBlockSearch:
             [sys.executable, "-c", script], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": path}, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["0"] * 5
+        assert done.stdout.split() == ["0"] * 3
 
 
 # -- the digit kernels against the one-group loops they replaced -------------

@@ -14,10 +14,11 @@ Records open with ``[problem <id>]`` and carry these fields::
 ``#`` starts a comment.  ``procedure`` appears once in a record, with
 one ``=`` before its name, and each given, param, step label and answer
 name at most once.  A line tag is a tablet line reference like
-``obv.26`` or ``rev.19``, non-empty without its ``?``: a trailing ``?``
-marks a value the edition prints with "(?)" (replay still checks it,
-since the arithmetic does confirm it; the flag is carried through to
-the report).
+``obv.26`` or ``rev.19``: a trailing ``?`` marks a value the edition
+prints with "(?)" (replay still checks it, since the arithmetic does
+confirm it; the flag is carried through to the report).  The line is
+the tag without its trailing ``?`` marks and the whitespace among or
+before them (``rev.21 ?`` names ``rev.21``), and it must not be empty.
 
 ``load_corpus`` reads and decodes the whole file before it parses a
 line, so a file that cannot be read or is not UTF-8 is reported before
@@ -293,6 +294,11 @@ def _lines(text: str) -> Iterator[str]:
     yield from text[start:].split("\n")
 
 
+#: What a step's line tag ends with that is not its line: the "(?)"
+#: marks and the whitespace among or before them, every 7-bit character
+#: that ``str.strip`` strips.
+_TAG_MARKS = "?" + "".join(c for c in map(chr, range(128)) if c.isspace())
+
 #: What differs between the value fields, by kind: the usage message,
 #: the noun a repeat is reported under, and the reader of the literal.
 _VALUE_FIELDS = {
@@ -438,11 +444,12 @@ def load_corpus(path: str | os.PathLike | None = None) -> list[TabletProblem]:
         usage, noun, read = _VALUE_FIELDS[kind]
         name, _, literal = rest.partition("=")
         name, literal = name.strip(), literal.strip()
-        tag = None
+        tag = tablet_line = None
         if kind == "step":
             literal, _, tag = literal.partition("@")
             literal, tag = literal.strip(), tag.strip()
-        if not name or not literal or tag is not None and not tag.rstrip("?"):
+            tablet_line = tag.rstrip(_TAG_MARKS)
+        if not name or not literal or tablet_line == "":
             raise CorpusParseError(usage, line=line_no)
         values = builder.fields[kind]
         if name in values:
@@ -458,7 +465,7 @@ def load_corpus(path: str | os.PathLike | None = None) -> list[TabletProblem]:
         name = sys.intern(name)
         if kind == "step":
             value = ExpectedStep(
-                label=name, value=value, line=sys.intern(tag.rstrip("?")),
+                label=name, value=value, line=sys.intern(tablet_line),
                 uncertain=tag.endswith("?"),
                 text=(literal if _CANONICAL.fullmatch(literal)
                       else render(value)))

@@ -36,7 +36,7 @@ from .errors import (
 from .sexa import (
     Sexa,
     SexaLike,
-    _expansion_exponent,
+    _smooth,
     halve,
     reciprocal,
     render,
@@ -221,7 +221,7 @@ def divide_by_recognition(n: SexaLike, d: SexaLike) -> Sexa:
     if d == 0:
         raise ZeroDivisor("cannot recognize a quotient for divisor 0")
     q = n / d
-    if _expansion_exponent(q.denominator)[0] != 1:
+    if _smooth(q.denominator)[0] != 1:
         raise NoFiniteQuotient(q)
     return q
 

@@ -53,13 +53,16 @@ groups grows about 4x per doubling.  ``render`` still grows about 3.8x
 per doubling, because the long division of 3.10 and 3.11 is schoolbook
 (about 3x on 3.12 and 3.13).  Wall-clock timings drift with the machine
 and the interpreter, so they are kept with their hardware in ROADMAP.md
-(item 4), not here.  Stripping 2, 3 and 5 (``is_regular``,
-``reciprocal``) takes one shift and O(log e) divisions per prime power
-p**e, each linear in the length of the number, so it keeps a quadratic
-term.  Rejecting an irregular number is the exception: naming the
-prime in ``IrregularDivisor``/``NonTerminating`` searches the non-smooth
-part m for its smallest prime p, up to sqrt(m) when m is prime, or up
-to ``_LAST_CANDIDATE`` (1000021, just past ``_PRIME_SEARCH_LIMIT``,
+(item 4), not here.  One kernel, ``_smooth``, strips 2, 3 and 5 for
+``render``, ``is_regular``, ``reciprocal`` and recognition's quotient
+test: it gives (rough, k), the number without those factors and the
+least k with its 60-smooth part dividing 60**k.  It takes one shift and
+O(log e) divisions per prime power p**e, each linear in the length of
+the number, so it keeps a quadratic term.  Rejecting an irregular
+number is the exception: naming the prime in
+``IrregularDivisor``/``NonTerminating`` searches the rough part m for
+its smallest prime p, up to sqrt(m) when m is prime, or up to
+``_LAST_CANDIDATE`` (1000021, just past ``_PRIME_SEARCH_LIMIT``,
 10**6), whichever comes first.  It takes one gcd of m with the product
 of the primes in each block [lo, hi) of integers (30, 60, 120, ...
 integers from 7, then 3840 at a time): at most 267 gcds, each of m and
@@ -85,9 +88,9 @@ as it does with a ``Fraction``, and an unknown type gets
 terms), ``sqrt_exact`` (roots of coprime squares are coprime), ``parse``
 (one gcd) and ``Sexa(fraction)`` build their results the same way, and
 ``Sexa(sexa)`` is its argument.  The functions that take a ``SexaLike``
-use a ``Fraction`` argument as it is and build any other with
-``Sexa()``, so each refuses a float, parses a literal string and
-refuses a NaN or infinite ``Decimal`` with ``MalformedLiteral``.
+build their argument with ``Sexa()``, so each refuses a float, parses a
+literal string and refuses a NaN or infinite ``Decimal`` with
+``MalformedLiteral``.
 
 Four tables are kept between calls.  Three are built at import:
 ``_GROUP_VALUES``, the value of each of the 70 group spellings the
@@ -180,11 +183,6 @@ def _reduced(n: int, d: int) -> Sexa:
     value._numerator = n
     value._denominator = d
     return value
-
-
-def _as_fraction(x: SexaLike) -> Fraction:
-    """x as it is when it is a Fraction (a Sexa is one), else Sexa(x)."""
-    return x if type(x) is Sexa or isinstance(x, Fraction) else Sexa(x)
 
 
 def _wrap(value):
@@ -475,43 +473,43 @@ def _octets(digits: bytes) -> list[int]:
     return list(struct.unpack(f">{size // 8}Q", x.to_bytes(size, "big")))
 
 
-def _strip_smooth(n: int) -> tuple[int, dict[int, int]]:
-    """Divide every factor 2, 3, 5 out of n > 0; return (leftover, exponents).
+def _smooth(n: int) -> tuple[int, int]:
+    """(rough, k) for n > 0: rough is n without its factors 2, 3 and 5,
+    and k is the least k with n // rough dividing 60**k.
 
     Twos go in one shift.  Threes and fives go by repeated squaring of the
-    divisor, so p**e costs O(log e) divisions, not e.
+    divisor, so p**e costs O(log e) divisions, not e.  For n // rough =
+    2**a * 3**b * 5**c, k is max(ceil(a/2), b, c): 60 = 2**2 * 3 * 5.
     """
     twos = (n & -n).bit_length() - 1
     n >>= twos
-    exponents = {2: twos}
+    k = (twos + 1) // 2
     for p in (3, 5):
         count = 0
         while n % p == 0:
-            power, k = p, 1
+            power, e = p, 1
             while n % (power * power) == 0:
-                power, k = power * power, k * 2
+                power, e = power * power, e * 2
             n //= power
-            count += k
-        exponents[p] = count
-    return n, exponents
+            count += e
+        k = max(k, count)
+    return n, k
 
 
 def _smallest_prime_factor(n: int) -> int | None:
-    """The smallest prime factor of n > 1, found by a blockwise search.
+    """The smallest prime factor of n > 1 coprime to 30 (a rough part
+    from ``_smooth``), found by a blockwise search.
 
-    Trial division by 2, 3 and 5, then one gcd of n with the product of
-    the primes in each block in turn.  The first block that shares a
-    factor with n holds n's smallest prime p.  That shared factor g has
-    no prime below the block's lo (an earlier block would have shared
-    it), so g is p itself when g < lo*lo; else g is walked odd integer
-    by odd integer.  The search stops with n at the first block with
-    lo*lo > n (then n is prime).  Past ``_LAST_CANDIDATE`` it gives n
-    when n < _LAST_CANDIDATE**2 (n is prime), else None: then n has
-    only prime factors above ``_PRIME_SEARCH_LIMIT``.
+    One gcd of n with the product of the primes in each block in turn.
+    The first block that shares a factor with n holds n's smallest prime
+    p.  That shared factor g has no prime below the block's lo (an
+    earlier block would have shared it), so g is p itself when g <
+    lo*lo; else g is walked odd integer by odd integer.  The search
+    stops with n at the first block with lo*lo > n (then n is prime).
+    Past ``_LAST_CANDIDATE`` it gives n when n < _LAST_CANDIDATE**2 (n
+    is prime), else None: then n has only prime factors above
+    ``_PRIME_SEARCH_LIMIT``.
     """
-    for p in (2, 3, 5):
-        if n % p == 0:
-            return p
     for lo, hi in _BLOCKS:
         if lo * lo > n:
             return n
@@ -533,17 +531,6 @@ def _smallest_prime_factor(n: int) -> int | None:
                 if g % c == 0:
                     return c
     return n if n < _LAST_CANDIDATE * _LAST_CANDIDATE else None
-
-
-def _expansion_exponent(den: int) -> tuple[int, int]:
-    """(leftover, k): den without its factors 2, 3, 5, and the smallest k
-    with den | 60**k, which exists only when leftover == 1.
-
-    Minimality is what guarantees the canonical no-trailing-zero property
-    of the fractional part.
-    """
-    leftover, exp = _strip_smooth(den)
-    return leftover, max((exp[2] + 1) // 2, exp[3], exp[5])
 
 
 def _groups(n: int, m: int) -> str:
@@ -572,7 +559,7 @@ def _groups(n: int, m: int) -> str:
 
 def _digits(f: Fraction, k: int) -> str:
     """Canonical literal of f, for the smallest k with f's denominator
-    dividing 60**k (``_expansion_exponent``).
+    dividing 60**k (the k of ``_smooth``).
 
     The form is canonical by construction: a minimal k leaves no trailing
     zero in the fractional part, written in exactly k digits, and the
@@ -597,11 +584,11 @@ def render(x: SexaLike, fraction_fallback: bool = False) -> str:
     ``fraction_fallback=True`` to get "p/q" text instead (or
     ``UnwritableValue`` when a term is too long for that text).
     """
-    f = _as_fraction(x)
-    leftover, k = _expansion_exponent(f.denominator)
-    if leftover != 1:
+    f = Sexa(x)
+    rough, k = _smooth(f.denominator)
+    if rough != 1:
         if not fraction_fallback:
-            raise NonTerminating(Sexa(f), _smallest_prime_factor(leftover))
+            raise NonTerminating(f, _smallest_prime_factor(rough))
         try:
             return f"{f.numerator}/{f.denominator}"
         except ValueError:      # str(int) refuses more than 4300 digits
@@ -631,34 +618,34 @@ def is_regular(x: SexaLike) -> bool:
     Equivalently, both the reduced numerator and denominator are 60-smooth,
     so x and 1/x both have finite sexagesimal expansions.
     """
-    f = _as_fraction(x)
+    f = Sexa(x)
     if f == 0:
         raise ZeroInput("0 has no regularity status (no reciprocal)")
-    return _strip_smooth(abs(f.numerator) * f.denominator)[0] == 1
+    return _smooth(abs(f.numerator) * f.denominator)[0] == 1
 
 
 def reciprocal(x: SexaLike) -> Sexa:
     """The scribe's igi-x: exact 1/x, defined only for regular x."""
-    f = _as_fraction(x)
+    f = Sexa(x)
     if f == 0:
         raise ZeroInput("0 has no reciprocal")
-    # One strip of the two terms' product: its leftover holds the smallest
-    # prime factor of either.
-    leftover, _ = _strip_smooth(abs(f.numerator) * f.denominator)
-    if leftover != 1:
-        raise IrregularDivisor(Sexa(f), _smallest_prime_factor(leftover))
+    # One strip of the two terms' product: its rough part holds the
+    # smallest prime factor of either.
+    rough, _ = _smooth(abs(f.numerator) * f.denominator)
+    if rough != 1:
+        raise IrregularDivisor(f, _smallest_prime_factor(rough))
     n, d = f.numerator, f.denominator
     return _reduced(d, n) if n > 0 else _reduced(-d, -n)
 
 
 def sqrt_exact(x: SexaLike) -> Sexa:
     """The nonnegative y with y*y == x, refusing anything inexact."""
-    f = _as_fraction(x)
+    f = Sexa(x)
     if f < 0:
-        raise NegativeRadicand(f"square root of negative value {Sexa(f)}")
+        raise NegativeRadicand(f"square root of negative value {f}")
     num, den = f.numerator, f.denominator
     root_num = math.isqrt(num)
     root_den = math.isqrt(den)
     if root_num * root_num != num or root_den * root_den != den:
-        raise NotAPerfectSquare(f"{Sexa(f)} is not the square of a rational")
+        raise NotAPerfectSquare(f"{f} is not the square of a rational")
     return _reduced(root_num, root_den)

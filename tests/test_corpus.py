@@ -250,6 +250,18 @@ class TestLoad:
         assert problem.expected_answers == {
             "u": Quantity(Sexa(6), Dimension.LENGTH_NINDAN)}
 
+    @pytest.mark.parametrize("tag", ["obv.1?", "obv.1 ?", "obv.1 ? ?",
+                                     "obv.1\t??"])
+    def test_uncertain_tag_names_its_line(self, tmp_path, tag):
+        # The "(?)" marks and the whitespace among or before them are not
+        # part of the line.
+        path = write_corpus(tmp_path, (
+            "[problem t.p1]\nprocedure = quadratic\n"
+            "param A = 1\nparam B = 5\nparam C = 6\n"
+            f"expect step u = 6 @ {tag}\n"))
+        step, = load_corpus(path)[0].expected_steps
+        assert (step.line, step.uncertain) == ("obv.1", True)
+
     @pytest.mark.parametrize("text,fragment", [
         ("param A = 1\n", "outside"),
         ("[problem t.p1]\nprocedure = quadratic\nparam A = 1\nparam B = 1\n"
@@ -265,6 +277,8 @@ class TestLoad:
          "param C = 1\nexpect step a = 1 @ ?\n", "line-tag"),
         ("[problem t.p1]\nprocedure = quadratic\nparam A = 1\nparam B = 1\n"
          "param C = 1\nexpect step a = 1 @ ??\n", "line-tag"),
+        ("[problem t.p1]\nprocedure = quadratic\nparam A = 1\nparam B = 1\n"
+         "param C = 1\nexpect step a = 1 @ ? ?\n", "line-tag"),
         ("[problem t.p1]\nprocedure = quadratic\nparam A = 1\nparam B = 1\n"
          "param C = 1\nexpect step a = 1 @ x\nexpect step a = 2 @ y\n",
          "duplicate step"),

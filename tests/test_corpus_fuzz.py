@@ -8,14 +8,16 @@ answer`` fields with names, literals, units and line tags both valid
 and malformed, repeats included, spaced with blanks and tabs) and from
 arbitrary short lines, which may hold non-ASCII text.  ``load_corpus``
 must return a list of problems or raise a ``SexakitError`` (which the
-CLI maps to exit 2), and finish inside the deadline.  This complements
-``tests/test_cli_fuzz.py``, which never writes a corpus.
+CLI maps to exit 2), and finish inside the deadline.  A loaded step's
+line is never empty and never ends in a ``?`` or a blank.  This
+complements ``tests/test_cli_fuzz.py``, which never writes a corpus.
 """
 
 from datetime import timedelta
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from sexakit.corpus import PROCEDURES, load_corpus
 from sexakit.errors import SexakitError
@@ -24,7 +26,7 @@ from sexakit.units import Dimension
 NAMES = ["A", "B", "C", "V", "u", "x", "half_B", "total_water", "workers",
          "width", "reach_length", "diff", "depth_factor", "thirteenth", "rhs"]
 UNITS = [d.value for d in Dimension] + ["sar60", "susi", "furlong"]
-TAGS = ["obv.26", "rev.21?", "?", "??", "", "x@y"]
+TAGS = ["obv.26", "rev.21?", "rev.21 ?", "?", "??", "? ?", "", "x@y"]
 
 #: A literal: base-60 digit groups with an optional fractional part and
 #: sign, or a few free characters.
@@ -88,6 +90,11 @@ def record_heads(draw):
     return "\n".join(head) + "\n"
 
 
+#: A record head that loads: a quadratic with its three params.
+QUADRATIC_HEAD = ("[problem t.fuzz]\nprocedure = quadratic\n"
+                  "param A = 1\nparam B = 1\nparam C = 1\n")
+
+
 @pytest.fixture(scope="module")
 def corpus_path(tmp_path_factory):
     return tmp_path_factory.mktemp("corpus") / "fuzz.corpus"
@@ -96,6 +103,8 @@ def corpus_path(tmp_path_factory):
 @settings(max_examples=300, deadline=timedelta(seconds=2),
           suppress_health_check=[HealthCheck.too_slow])
 @given(record_heads(), corpus_texts)
+@example(head=QUADRATIC_HEAD, text="expect step u = 1 @ rev.21 ?")
+@example(head=QUADRATIC_HEAD, text="expect step u = 1 @ ? ?")
 def test_any_corpus_text_loads_or_raises_a_sexakit_error(
         corpus_path, head, text):
     corpus_path.write_text(head + text, encoding="utf-8")
@@ -104,3 +113,8 @@ def test_any_corpus_text_loads_or_raises_a_sexakit_error(
     except SexakitError:
         return
     assert isinstance(problems, list)
+    # A loaded step names its line without the "(?)" marks and blanks.
+    for problem in problems:
+        for step in problem.expected_steps:
+            assert step.line
+            assert step.line[-1] != "?" and not step.line[-1].isspace()

@@ -12,9 +12,9 @@ parametrized test, a class or a file fails when any test it selects
 fails.  The working tree is never written.  It needs only the standard
 library, git and pytest::
 
-    python tests/mutants.py [name ...]
+    python tests/mutants.py
 
-With names, only those rows run.  A row takes a few seconds.
+A row takes a few seconds.
 """
 
 import os
@@ -147,22 +147,20 @@ def run(root: str, files: list[str], mutant) -> list[str]:
     return faults
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     files = tracked_files(root)
-    rows = [m for m in MUTANTS if not argv or m[0] in argv]
-    unknown = set(argv) - {m[0] for m in MUTANTS}
-    faults = [f"no mutant named {name!r}" for name in sorted(unknown)]
-    for mutant in rows:
+    faults = []
+    for mutant in MUTANTS:
         found = run(root, files, mutant)
         print(f"{'caught' if not found else 'FAULT '}  {mutant[0]}",
               flush=True)
         faults += found
     for fault in faults:
         print(fault)
-    print(f"mutants: {len(rows)} run, {len(faults)} faults")
+    print(f"mutants: {len(MUTANTS)} run, {len(faults)} faults")
     return 1 if faults else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -16,12 +16,14 @@ and ``--oracle`` switches to unrestricted exact rational division, falling
 back to p/q output when the result has no finite base-60 form.
 
 Exit codes are frozen for scripting: 0 success/verified, 1 replay
-mismatch, 2 malformed input, 3 violated mathematical precondition.
+mismatch, 2 malformed input (or output that cannot be written), 3
+violated mathematical precondition.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -349,10 +351,27 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # A write error still buffered surfaces here, not at exit.
+        sys.stdout.flush()
+        return code
     except SexakitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT if isinstance(exc, InputError) else EXIT_MATH
+    except OSError as exc:
+        # Only a write to stdout gets here: a corpus that cannot be read
+        # raises CorpusParseError.
+        try:
+            print(f"error: cannot write output: {exc.strerror or exc}",
+                  file=sys.stderr)
+        except OSError:
+            pass
+        # What stdout still holds then goes to /dev/null, so the flush at
+        # exit cannot fail again (after a broken pipe, say).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

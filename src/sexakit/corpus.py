@@ -20,12 +20,12 @@ confirm it; the flag is carried through to the report).  The line is
 the tag without its trailing ``?`` marks and the whitespace among or
 before them (``rev.21 ?`` names ``rev.21``), and it must not be empty.
 
-``load_corpus`` reads and decodes the whole file before it parses a
-line, so a file that cannot be read or is not UTF-8 is reported before
-any error in a line.  It then splits the text into lines a block of
-about ``_LINE_BLOCK`` characters at a time: a load holds the decoded
-file, the problems built so far and one block of lines, never a list of
-every line of the file.
+``load_corpus`` reads and decodes the file ``_LINE_BLOCK`` bytes (64 KiB)
+at a time and parses each block's lines as it goes: a load holds the
+problems built so far and one block, never the decoded file.  A file
+that cannot be read or is not UTF-8 is still reported before any error
+in a line, at its byte offset in the file: after an error in a line,
+the load reads on to the end of the file first.
 
 ``PROCEDURES`` is the one table of procedures: each ``ProcedureSpec``
 gives a corpus name, the params and givens a record for it must carry
@@ -51,6 +51,8 @@ is raised as a ``ProcedureError`` naming the problem and the stage
 
 from __future__ import annotations
 
+import codecs
+import io
 import os
 import re
 import sys
@@ -279,19 +281,44 @@ def bundled_corpus_path():
     return pathlib.Path(_BUNDLED_PATH)
 
 
-#: The fewest characters ``_lines`` splits at once: a block runs on to the
-#: next newline.
+#: How many bytes ``_lines`` reads at once.
 _LINE_BLOCK = 1 << 16
 
 
-def _lines(text: str) -> Iterator[str]:
-    """The items of ``text.split("\n")``, split one block at a time, so a
-    load never holds a list of every line of a large file."""
-    start = 0
-    while (end := text.find("\n", start + _LINE_BLOCK)) >= 0:
-        yield from text[start:end].split("\n")
-        start = end + 1
-    yield from text[start:].split("\n")
+def _lines(path: str | os.PathLike) -> Iterator[str]:
+    """The items of ``text.split("\n")``, where ``text`` is the file at
+    ``path`` read in text mode as UTF-8, read and decoded ``_LINE_BLOCK``
+    bytes at a time, so a load never holds the decoded file.  A CRLF or
+    a lone CR reads as one newline.  A line that spans blocks is kept as
+    its pieces and joined once, where it ends.  A file that cannot be
+    read or is not UTF-8 raises ``CorpusParseError``."""
+    utf8 = codecs.getincrementaldecoder("utf-8")()
+    decoder = io.IncrementalNewlineDecoder(utf8, translate=True)
+    pieces, read = [], 0
+    try:
+        with open(os.fspath(path), "rb") as file:
+            while True:
+                block = file.read(_LINE_BLOCK)
+                text = decoder.decode(block, final=not block)
+                first, *rest = text.split("\n")
+                read += len(block)
+                pieces.append(first)
+                if rest:
+                    yield "".join(pieces)
+                    pieces = [rest.pop()]
+                    yield from rest
+                if not block:
+                    break
+    except OSError as exc:
+        raise CorpusParseError(
+            f"cannot read corpus {str(path)!r}: {exc.strerror or exc}"
+        ) from exc
+    except UnicodeDecodeError as exc:
+        # exc.start counts from the first byte the decoder still held.
+        raise CorpusParseError(
+            f"corpus {str(path)!r} is not UTF-8 text: {exc.reason} at byte "
+            f"{read - len(utf8.getstate()[0]) + exc.start}") from exc
+    yield "".join(pieces)
 
 
 #: What a step's line tag ends with that is not its line: the "(?)"
@@ -370,18 +397,19 @@ def load_corpus(path: str | os.PathLike | None = None) -> list[TabletProblem]:
     """
     if path is None:
         path = os.environ.get("SEXAKIT_CORPUS") or _BUNDLED_PATH
+    lines = _lines(path)
     try:
-        with open(os.fspath(path), encoding="utf-8") as file:
-            text = file.read()
-    except OSError as exc:
-        raise CorpusParseError(
-            f"cannot read corpus {str(path)!r}: {exc.strerror or exc}"
-        ) from exc
-    except UnicodeDecodeError as exc:
-        raise CorpusParseError(
-            f"corpus {str(path)!r} is not UTF-8 text: {exc.reason} "
-            f"at byte {exc.start}") from exc
+        return _problems(lines)
+    except SexakitError:
+        # A file that cannot be read or is not UTF-8 is reported before
+        # any error in a line, as if it had been read whole first.
+        for _ in lines:
+            pass
+        raise
 
+
+def _problems(lines: Iterator[str]) -> list[TabletProblem]:
+    """The problems of a corpus file's lines, in file order."""
     problems: list[TabletProblem] = []
     seen: set[str] = set()
     builder: _ProblemBuilder | None = None
@@ -392,7 +420,7 @@ def load_corpus(path: str | os.PathLike | None = None) -> list[TabletProblem]:
             problems.append(builder.finish())
             builder = None
 
-    for line_no, raw in enumerate(_lines(text), start=1):
+    for line_no, raw in enumerate(lines, start=1):
         if not raw.isascii():
             raise CorpusParseError("corpus files must be 7-bit text",
                                    line=line_no)

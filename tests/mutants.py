@@ -24,10 +24,12 @@ import sys
 import tempfile
 
 _SEXA, _CORPUS = "src/sexakit/sexa.py", "src/sexakit/corpus.py"
+_CLI = "src/sexakit/cli.py"
 _BLOCK_SEARCH = "tests/test_sexa.py::TestBlockSearch::"
 _BULK = "tests/test_sexa.py::TestBulkKernels::"
 _REGISTRY = "tests/test_corpus.py::TestRegistry::"
 _LOAD = "tests/test_corpus.py::TestLoad::"
+_BLOCKS = "tests/test_corpus.py::TestLineBlocks::"
 
 #: (name, file, old text, new text, test ids that must fail).
 MUTANTS = [
@@ -74,6 +76,24 @@ MUTANTS = [
       _LOAD + "test_structural_errors",
       "tests/test_corpus_fuzz.py::"
       "test_any_corpus_text_loads_or_raises_a_sexakit_error"]),
+    ("no drain after a bad line", _CORPUS,
+     "        for _ in lines:\n            pass\n        raise\n",
+     "        raise\n",
+     [_BLOCKS + "test_a_bad_byte_is_reported_before_an_earlier_bad_line",
+      _BLOCKS + "test_a_read_error_after_the_first_block"]),
+    ("bad byte offset without the held bytes", _CORPUS,
+     "{read - len(utf8.getstate()[0]) + exc.start}",
+     "{read + exc.start}",
+     [_BLOCKS + "test_lines_are_the_split_of_the_text"]),
+    ("no stdout flush in main's try", _CLI,
+     "        code = args.func(args)\n"
+     "        # A write error still buffered surfaces here, not at exit.\n"
+     "        sys.stdout.flush()\n        return code\n",
+     "        return args.func(args)\n",
+     ["tests/test_cli.py::TestOutputThatCannotBeWritten::"
+      "test_exits_two_and_points_stdout_at_devnull",
+      "tests/test_cli.py::TestOutputThatCannotBeWritten::"
+      "test_a_full_device_in_a_child"]),
 ]
 
 #: The child: pytest on argv[2:], then the id of every failed test

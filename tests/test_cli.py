@@ -1,11 +1,13 @@
 """Command-line surface: subcommands, modes, and the frozen exit codes."""
 
+import errno
 import inspect
 import json
 import os
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 
@@ -21,6 +23,8 @@ from sexakit.cli import (
     main,
 )
 from sexakit.errors import ExpressionError, NoFiniteQuotient
+from test_corpus import FailsAfterOneBlock
+from test_generated_corpus import gen
 
 
 def run(capsys, *argv):
@@ -387,3 +391,92 @@ class TestExitCodes:
         assert code == (EXIT_INPUT if cls.__name__ in INPUT_ERRORS
                         else EXIT_MATH)
         assert (out, err) == ("", "error: boom\n")
+
+
+#: The CLI in a child interpreter that imports this tree's sexakit, and
+#: buffers its stdout as by default: under PYTHONUNBUFFERED each write
+#: fails at once, and no write error is left for the flush at exit.
+CLI = [sys.executable, "-m", "sexakit.cli"]
+CLI_ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+           "PYTHONPATH": os.path.dirname(os.path.dirname(sexakit.__file__))}
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full")
+
+
+def assert_one_write_error(err, code):
+    """The child's stderr holds one error line, for code, and no
+    traceback."""
+    assert [line for line in err.splitlines() if line.startswith("error:")] \
+        == [f"error: cannot write output: {os.strerror(code)}"]
+    assert "Traceback" not in err
+
+
+class TestOutputThatCannotBeWritten:
+    """Output that cannot be written is exit 2 with one error line, never
+    a traceback and exit 1, which means a replay mismatch."""
+
+    @pytest.mark.parametrize("target", [
+        pytest.param("full", marks=needs_dev_full), "pipe"])
+    def test_exits_two_and_points_stdout_at_devnull(self, capsys,
+                                                    monkeypatch, target):
+        if target == "full":
+            fd, code = os.open("/dev/full", os.O_WRONLY), errno.ENOSPC
+        else:
+            read_end, fd = os.pipe()
+            os.close(read_end)
+            code = errno.EPIPE
+        with open(fd, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["eval", "1 + 2"]) == EXIT_INPUT
+            # What stdout still holds goes to /dev/null when it closes.
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        assert capsys.readouterr().err == \
+            f"error: cannot write output: {os.strerror(code)}\n"
+
+    def test_an_error_line_that_cannot_be_written_is_dropped(
+            self, monkeypatch):
+        read_end, fd = os.pipe()
+        os.close(read_end)
+        with open(fd, "w") as stdout, \
+                open(fd, "w", buffering=1, closefd=False) as stderr:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            monkeypatch.setattr(sys, "stderr", stderr)
+            assert main(["eval", "1 + 2"]) == EXIT_INPUT
+
+    def test_a_read_error_is_not_a_write_error(self, capsys, tmp_path):
+        path = tmp_path / "eio.corpus"
+        path.write_text("# pad\n" * 20)
+        with mock.patch.object(cli.corpus_mod, "_LINE_BLOCK", 32), \
+                mock.patch.object(cli.corpus_mod, "open", FailsAfterOneBlock,
+                                  create=True):
+            code, out, err = run(capsys, "replay", "--all", "--corpus",
+                                 str(path))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == (f"error: cannot read corpus {str(path)!r}: "
+                       f"{os.strerror(errno.EIO)}\n")
+
+    @needs_dev_full
+    @pytest.mark.parametrize("argv", [["eval", "1 + 2"], ["replay", "--all"]])
+    def test_a_full_device_in_a_child(self, argv):
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([*CLI, *argv], stdout=full,
+                                  stderr=subprocess.PIPE, text=True,
+                                  env=CLI_ENV, timeout=60)
+        assert done.returncode == EXIT_INPUT
+        assert_one_write_error(done.stderr, errno.ENOSPC)
+
+    def test_a_pipe_closed_after_one_line_in_a_child(self, tmp_path):
+        # About 215 KB of report: far more than a pipe holds, so the child
+        # is still writing when the pipe closes.
+        path = tmp_path / "large.corpus"
+        path.write_text(gen.write_corpus(gen.corpus(seed=6, count=300)),
+                        "ascii")
+        with subprocess.Popen(
+                [*CLI, "replay", "--all", "--corpus", str(path)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env=CLI_ENV) as child:
+            assert child.stdout.readline().startswith("gen.")
+            child.stdout.close()
+            err = child.stderr.read()
+            assert child.wait(timeout=60) == EXIT_INPUT
+        assert_one_write_error(err, errno.EPIPE)

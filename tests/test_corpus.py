@@ -1,6 +1,9 @@
 """Corpus loading, replay verification, and the enlarged-canal system."""
 
 import copy
+import errno
+import io
+import os
 import pickle
 import time
 from fractions import Fraction
@@ -373,20 +376,70 @@ def load_outcome(path):
             for p in problems]
 
 
+#: The bytes the reader's differential draws from: ASCII, each newline,
+#: two- and three-byte characters, a byte that starts no character and
+#: a character cut short.
+READER_PIECES = [b"a", b"\n", b"\r", b"\r\n", "\u00e9".encode(),
+                 "\u20ac".encode(), b"\xf9", b"\xe2\x82"]
+
+
+@pytest.fixture(scope="module")
+def reader_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader") / "reader.corpus"
+
+
+def split_or_error(path):
+    """The items of the file's text, read whole in text mode as UTF-8,
+    split at "\n"; or, for a file that is not UTF-8, the load's message
+    with the byte offset that decoding the whole file gives."""
+    try:
+        with open(path, encoding="utf-8") as file:
+            return file.read().split("\n")
+    except UnicodeDecodeError as exc:
+        return (f"corpus {str(path)!r} is not UTF-8 text: {exc.reason} "
+                f"at byte {exc.start}")
+
+
+class FailsAfterOneBlock(io.BufferedReader):
+    """A file opened for reading whose reads after the first fail, as a
+    disk error part way through a file would."""
+
+    def __init__(self, path, mode="rb"):
+        super().__init__(io.FileIO(path, mode))
+        self.reads = 0
+
+    def read(self, size=-1):
+        self.reads += 1
+        if self.reads > 1:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return super().read(size)
+
+
 class TestLineBlocks:
-    """A load splits its text into lines one block at a time; where the
+    """A load reads and decodes its file one block at a time; where the
     blocks end changes nothing that it returns or raises."""
 
-    @given(text=st.text(alphabet="a\n# =", max_size=40),
-           block=st.integers(1, 8))
-    @example(text="", block=1)
-    @example(text="a\n", block=1)
-    @example(text="\n", block=1)
-    @example(text="\n\n\n\n", block=2)
-    @example(text="a\n\n# =\n\n", block=3)
-    def test_lines_are_the_split_of_the_text(self, text, block):
+    @given(data=st.lists(st.sampled_from(READER_PIECES), max_size=40).map(
+               b"".join),
+           block=st.one_of(st.integers(1, 8),
+                           st.just(sexakit.corpus._LINE_BLOCK)))
+    @example(data=b"", block=1)
+    @example(data=b"a\n", block=1)
+    @example(data=b"\n\n\n\n", block=2)
+    @example(data=b"a\r", block=1)
+    @example(data=b"a\r\nb", block=2)
+    # A character split across 1-byte reads, then cut short: the bad
+    # byte is the character's first, not the one read last.
+    @example(data="a\u20ac".encode() + b"\xe2\x82a", block=1)
+    @example(data=b"a\xe2\x82", block=1)
+    def test_lines_are_the_split_of_the_text(self, reader_path, data, block):
+        reader_path.write_bytes(data)
         with mock.patch.object(sexakit.corpus, "_LINE_BLOCK", block):
-            assert list(_lines(text)) == text.split("\n")
+            try:
+                got = list(_lines(reader_path))
+            except CorpusParseError as exc:
+                got = str(exc)
+        assert got == split_or_error(reader_path)
 
     @pytest.mark.parametrize("name", ["generated", *sorted(
         path.name for path in GOLDEN.glob("*.corpus"))])
@@ -402,6 +455,63 @@ class TestLineBlocks:
                 outcomes.append(load_outcome(path))
         assert outcomes[0] == outcomes[1] == outcomes[2]
         assert outcomes[0] or name == "replay-no-records.corpus"
+
+    @pytest.mark.parametrize("block", [7, sexakit.corpus._LINE_BLOCK])
+    def test_a_bad_byte_is_reported_before_an_earlier_bad_line(
+            self, tmp_path, block):
+        # The bad literal on line 2 is parsed first; the bad byte lies
+        # more than two blocks later, and is still the error reported.
+        head = b"[problem t.p1]\nparam A = 4;x\n"
+        padding = b"# padding\n" * (2 * block // 10 + 1)
+        path = tmp_path / "late.corpus"
+        path.write_bytes(head + padding + b"# k\xf9\n")
+        with mock.patch.object(sexakit.corpus, "_LINE_BLOCK", block):
+            with pytest.raises(CorpusParseError) as err:
+                load_corpus(path)
+            assert str(err.value) == (
+                f"corpus {str(path)!r} is not UTF-8 text: invalid start "
+                f"byte at byte {len(head + padding) + 3}")
+            path.write_bytes(head + padding)
+            with pytest.raises(BadLiteral, match="line 2"):
+                load_corpus(path)
+
+    @pytest.mark.parametrize("block", [1, sexakit.corpus._LINE_BLOCK])
+    @pytest.mark.parametrize("tail,error", [
+        ("", None), ("\u00e9", "line 7: corpus files must be 7-bit text")],
+        ids=["loads", "not-7-bit"])
+    def test_a_long_line_reads_in_linear_time(self, tmp_path, block, tail,
+                                              error):
+        # A 1 MiB comment with no newline, as one file's last line: its
+        # pieces are joined once, where it ends.  Joined again at each of
+        # 2**20 one-byte reads, they would copy about 5 * 10**11
+        # characters.
+        path = tmp_path / "long.corpus"
+        path.write_text(minimal_record("quadratic") + "\n# "
+                        + "x" * (1 << 20) + tail, encoding="utf-8")
+        start = time.perf_counter()
+        with mock.patch.object(sexakit.corpus, "_LINE_BLOCK", block):
+            if error is None:
+                problem, = load_corpus(path)
+                assert problem.id == "t.min"
+            else:
+                with pytest.raises(CorpusParseError) as err:
+                    load_corpus(path)
+                assert str(err.value) == error
+        elapsed = time.perf_counter() - start
+        assert elapsed < 30, f"{elapsed:.2f} s"
+
+    def test_a_read_error_after_the_first_block(self, tmp_path):
+        # A disk error part way through the file is still an unreadable
+        # corpus, and is reported before the bad line of the first block.
+        path = tmp_path / "eio.corpus"
+        path.write_text("[problem t.p1]\nwibble\n" + "# pad\n" * 20)
+        with mock.patch.object(sexakit.corpus, "_LINE_BLOCK", 32), \
+                mock.patch.object(sexakit.corpus, "open", FailsAfterOneBlock,
+                                  create=True):
+            with pytest.raises(CorpusParseError) as err:
+                load_corpus(path)
+        assert str(err.value) == (f"cannot read corpus {str(path)!r}: "
+                                  f"{os.strerror(errno.EIO)}")
 
 
 #: The smallest record of each registered procedure, with one answer

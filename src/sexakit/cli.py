@@ -23,15 +23,18 @@ violated mathematical precondition.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import re
 import sys
+from contextlib import redirect_stdout
 
 from . import corpus as corpus_mod
 from .errors import (
     CorpusParseError,
     ExpressionError,
     InputError,
+    ProcedureError,
     SexakitError,
     UnknownProblem,
     ZeroDivisor,
@@ -252,14 +255,34 @@ def _cmd_replay(args) -> int:
         if args.problem is None:
             raise UnknownProblem("give a problem id or --all")
         selected = [corpus_mod.find_problem(problems, args.problem)]
-    reports = [corpus_mod.replay(p) for p in selected]
+    # One problem that errors hides none of the others' reports.
+    outcomes = []
+    for problem in selected:
+        try:
+            outcomes.append(corpus_mod.replay(problem))
+        except ProcedureError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            outcomes.append(exc)
     if args.json:
         import json
-        print(json.dumps([r.to_dict() for r in reports]))
+        print(json.dumps([_replay_dict(o) for o in outcomes]))
     else:
-        for report in reports:
-            print(report.to_text())
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_MISMATCH
+        for outcome in outcomes:
+            if not isinstance(outcome, ProcedureError):
+                print(outcome.to_text())
+    if any(isinstance(o, ProcedureError) for o in outcomes):
+        return EXIT_MATH
+    return EXIT_OK if all(o.passed for o in outcomes) else EXIT_MISMATCH
+
+
+def _replay_dict(outcome) -> dict:
+    """A problem's report, or its error, as an object of the JSON list."""
+    if isinstance(outcome, ProcedureError):
+        return {"problem": outcome.problem_id, "pass": False,
+                "error": {"stage": outcome.stage,
+                          "message": str(outcome.cause),
+                          "line": outcome.line}}
+    return outcome.to_dict()
 
 
 # -- parser wiring -------------------------------------------------------------
@@ -347,10 +370,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(parser: argparse.ArgumentParser,
+                argv: list[str] | None) -> argparse.Namespace:
+    """``parser.parse_args``, with what it prints on stdout (``--help``)
+    written here: argparse would drop a write error, and a ``SystemExit``
+    would leave the text to the flush at exit.  An ``OSError`` from the
+    write replaces the ``SystemExit``."""
+    shown = io.StringIO()
+    try:
+        with redirect_stdout(shown):
+            return parser.parse_args(argv)
+    finally:
+        sys.stdout.write(shown.getvalue())
+        sys.stdout.flush()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _parse_args(parser, argv)
         code = args.func(args)
         # A write error still buffered surfaces here, not at exit.
         sys.stdout.flush()

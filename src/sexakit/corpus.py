@@ -45,7 +45,8 @@ is already canonical, else its rendering; ``replay`` writes only the
 values it computed that mismatch.  A report passes only with zero
 mismatches and zero missing labels.  A failure in ``run`` or ``verify``
 is raised as a ``ProcedureError`` naming the problem and the stage
-(``verify`` for a failed substitution).  Adding a procedure is one
+(``verify`` for a failed substitution), and the tablet line of the
+first expected step not yet produced.  Adding a procedure is one
 ``ProcedureSpec`` entry plus a corpus record that uses it.
 """
 
@@ -517,12 +518,17 @@ def find_problem(problems: list[TabletProblem], problem_id: str,
 # -- procedures behind the corpus ---------------------------------------------
 
 @contextmanager
-def _stage(problem: TabletProblem, stage: str) -> Iterator[None]:
-    """Report a SexakitError raised in the block as a ProcedureError."""
+def _stage(problem: TabletProblem, stage: str,
+           trace: StepTrace | None = None) -> Iterator[None]:
+    """Report a SexakitError raised in the block as a ProcedureError, at
+    the line of the first expected step that ``trace``, the steps the
+    replay recorded before the block, does not hold."""
     try:
         yield
     except SexakitError as exc:
-        raise ProcedureError(problem.id, stage, exc) from exc
+        line = next((e.line for e in problem.expected_steps
+                     if trace is None or e.label not in trace), None)
+        raise ProcedureError(problem.id, stage, exc, line) from exc
 
 
 def _holds(equation: str, ok: bool) -> None:
@@ -549,17 +555,17 @@ def _quadratic(problem: TabletProblem) -> _Outcome:
         answers = {"u": Quantity(u, Dimension.LENGTH_NINDAN)}
     if "V" not in givens:
         return trace, answers
-    with _stage(problem, "breadths"):
+    with _stage(problem, "breadths", trace):
         excess, share = _breadth_rule(params)
         v, z = breadths_from_constraints(u, excess=excess, excess_share=share)
         trace.record("v", v)
         trace.record("z", z)
-    with _stage(problem, "cross-section"):
+    with _stage(problem, "cross-section", trace):
         section = trace.record("S", trapezoid_cross_section(
             Quantity(u, Dimension.LENGTH_NINDAN),
             Quantity(v, Dimension.LENGTH_NINDAN),
             Quantity(z, Dimension.LENGTH_KUS)))
-    with _stage(problem, "length"):
+    with _stage(problem, "length", trace):
         length = trace.record("x", length_from_volume(givens["V"], section))
         answers.update({
             "v": Quantity(v, Dimension.LENGTH_NINDAN),
@@ -685,7 +691,7 @@ def replay(problem: TabletProblem) -> ReplayReport:
     """Run a problem's procedure, substitute its answers back into the
     problem's equations, and check every expectation exactly."""
     trace, answers = problem.procedure.run(problem)
-    with _stage(problem, "verify"):
+    with _stage(problem, "verify", trace):
         problem.procedure.verify(problem, answers)
     got = {step.label: step.magnitude() for step in trace}
     rows = [_check("step", e.label, e.text, e.value, got.get(e.label), render,

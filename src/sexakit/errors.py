@@ -179,10 +179,14 @@ class ProcedureError(SexakitError):
 
     ``corpus._stage`` is the only code that raises it: solvers raise the
     plain error, and the stage wraps it once with the problem id.
+    ``line`` is the tablet line of the first expected step the replay had
+    not produced when the stage failed, or None when it had them all.
     """
 
-    def __init__(self, problem_id: str, stage: str, cause: Exception):
+    def __init__(self, problem_id: str, stage: str, cause: Exception,
+                 line: str | None):
         self.problem_id = problem_id
         self.stage = stage
         self.cause = cause
+        self.line = line
         super().__init__(f"{problem_id}: {stage}: {cause}")

@@ -23,7 +23,10 @@ name, to pin the column of a bad literal.
 procedure does not read, ``replay-wrong-dimension.corpus`` states a
 given in another dimension than its procedure's, and
 ``replay-no-records.corpus`` holds no record at all (replayed in text
-and in JSON), to pin the exit-2 error of each.  A golden file changes
+and in JSON), to pin the exit-2 error of each.  ``replay-mixed.corpus``
+holds a problem that passes, one that errors and one that mismatches,
+replayed in text and in JSON, to pin that the error hides neither of
+the other reports and that the run exits 3.  A golden file changes
 only when the output is meant to change.
 
 The module needs only the standard library, so an interpreter without
@@ -58,6 +61,7 @@ STAGES = ["solve-quadratic", "breadths", "cross-section", "length",
           "rect-canal-system", "labor-depth"]
 NONCANONICAL = ["replay", "--all", "--corpus",
                 golden("replay-noncanonical.corpus")]
+MIXED = ["replay", "--all", "--corpus", golden("replay-mixed.corpus")]
 #: 3000 groups of 59: as p/q, terms past CPython's 4300-digit str(int) limit.
 NINES = ",".join(["59"] * 3000)
 
@@ -101,6 +105,8 @@ CASES = {
                     "replay-wrong-dimension", "replay-no-records")},
     "replay-no-records-json": ["replay", "--all", "--json", "--corpus",
                                golden("replay-no-records.corpus")],
+    "replay-mixed": MIXED,
+    "replay-mixed-json": MIXED + ["--json"],
     "eval-oracle-huge": ["eval", f"1,{NINES} / 7", "--oracle"],
     "eval-recognize-huge": ["eval", f"1,{NINES} / 7", "--recognize"],
     "solve-quadratic-huge-negative": ["solve-quadratic", "--", "1", "0",

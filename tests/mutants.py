@@ -24,7 +24,7 @@ import sys
 import tempfile
 
 _SEXA, _CORPUS = "src/sexakit/sexa.py", "src/sexakit/corpus.py"
-_CLI = "src/sexakit/cli.py"
+_CLI, _INIT = "src/sexakit/cli.py", "src/sexakit/__init__.py"
 _BLOCK_SEARCH = "tests/test_sexa.py::TestBlockSearch::"
 _BULK = "tests/test_sexa.py::TestBulkKernels::"
 _REGISTRY = "tests/test_corpus.py::TestRegistry::"
@@ -94,6 +94,35 @@ MUTANTS = [
       "test_exits_two_and_points_stdout_at_devnull",
       "tests/test_cli.py::TestOutputThatCannotBeWritten::"
       "test_a_full_device_in_a_child"]),
+    ("eager corpus import", _INIT,
+     '__version__ = "0.1.0"\n',
+     'from .corpus import *\n__version__ = "0.1.0"\n',
+     ["tests/test_docs.py::test_bare_import_loads_no_submodule"]),
+    ("first use not stored", _INIT,
+     "    globals()[name] = value\n", "",
+     ["tests/test_docs.py::test_first_use_loads_the_name_and_keeps_it"]),
+    ("one catch around every replay", _CLI,
+     "    for problem in selected:\n"
+     "        try:\n"
+     "            outcomes.append(corpus_mod.replay(problem))\n"
+     "        except ProcedureError as exc:\n"
+     "            print(f\"error: {exc}\", file=sys.stderr)\n"
+     "            outcomes.append(exc)\n",
+     "    try:\n"
+     "        for problem in selected:\n"
+     "            outcomes.append(corpus_mod.replay(problem))\n"
+     "    except ProcedureError as exc:\n"
+     "        print(f\"error: {exc}\", file=sys.stderr)\n"
+     "        outcomes.append(exc)\n",
+     ["tests/test_golden.py::test_golden_output[replay-mixed]",
+      "tests/test_golden.py::test_golden_output[replay-mixed-json]",
+      "tests/test_cli_fuzz.py::"
+      "test_an_erroring_problem_hides_no_other_report"]),
+    ("help written by argparse", _CLI,
+     "        args = _parse_args(parser, argv)\n",
+     "        args = parser.parse_args(argv)\n",
+     ["tests/test_cli.py::TestOutputThatCannotBeWritten::"
+      "test_help_that_cannot_be_written"]),
 ]
 
 #: The child: pytest on argv[2:], then the id of every failed test

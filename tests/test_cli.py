@@ -455,15 +455,65 @@ class TestOutputThatCannotBeWritten:
         assert err == (f"error: cannot read corpus {str(path)!r}: "
                        f"{os.strerror(errno.EIO)}\n")
 
+    @pytest.mark.parametrize("buffering", [-1, 1])
+    @pytest.mark.parametrize("target", [
+        pytest.param("full", marks=needs_dev_full), "pipe"])
+    def test_help_that_cannot_be_written(self, capsys, monkeypatch, target,
+                                         buffering):
+        # argparse drops a write error of its own; the help text is
+        # written where main's handler sees the error, buffered or not.
+        if target == "full":
+            fd, code = os.open("/dev/full", os.O_WRONLY), errno.ENOSPC
+        else:
+            read_end, fd = os.pipe()
+            os.close(read_end)
+            code = errno.EPIPE
+        with open(fd, "w", buffering=buffering) as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["--help"]) == EXIT_INPUT
+        assert capsys.readouterr().err == \
+            f"error: cannot write output: {os.strerror(code)}\n"
+
+    def test_help_that_can_be_written_is_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr() == (cli.build_parser().format_help(), "")
+
+    def test_a_usage_error_is_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["nosuch"])
+        assert exc.value.code == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: sexakit ")
+        assert err.splitlines()[-1].startswith(
+            "sexakit: error: argument command: invalid choice: 'nosuch'")
+
     @needs_dev_full
-    @pytest.mark.parametrize("argv", [["eval", "1 + 2"], ["replay", "--all"]])
-    def test_a_full_device_in_a_child(self, argv):
+    @pytest.mark.parametrize("argv", [["eval", "1 + 2"], ["replay", "--all"],
+                                      ["--help"]])
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_a_full_device_in_a_child(self, argv, unbuffered):
+        env = {**CLI_ENV, "PYTHONUNBUFFERED": "1"} if unbuffered else CLI_ENV
         with open("/dev/full", "w") as full:
             done = subprocess.run([*CLI, *argv], stdout=full,
                                   stderr=subprocess.PIPE, text=True,
-                                  env=CLI_ENV, timeout=60)
+                                  env=env, timeout=60)
         assert done.returncode == EXIT_INPUT
         assert_one_write_error(done.stderr, errno.ENOSPC)
+
+    def test_help_read_one_line_in_a_child(self):
+        # As `sexakit --help | head -1`: the help fits the pipe, so the
+        # child has written it all and exits 0.
+        with subprocess.Popen([*CLI, "--help"], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True,
+                              env=CLI_ENV) as child:
+            assert child.stdout.readline().startswith("usage: sexakit ")
+            child.stdout.close()
+            err = child.stderr.read()
+            assert child.wait(timeout=60) == EXIT_OK
+        assert err == ""
 
     def test_a_pipe_closed_after_one_line_in_a_child(self, tmp_path):
         # About 215 KB of report: far more than a pipe holds, so the child

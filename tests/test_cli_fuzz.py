@@ -8,15 +8,23 @@ text is past that limit.  Each example must return or exit with 0, 1,
 2 or 3, print no traceback, and finish inside the deadline.  No token
 names a file: ``--corpus`` is left out, so ``replay`` reads only the
 bundled corpus.
+
+A second case replays a generated corpus with one problem that errors,
+from a ``stage-*`` golden corpus, and checks that every other problem
+is still reported.
 """
 
 import contextlib
 import io
+import os
+import tempfile
 from datetime import timedelta
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from golden_cases import STAGES, golden
 from sexakit.cli import main
+from test_generated_corpus import gen
 
 #: Each subcommand, its number of values, and its flags and words.
 COMMANDS = {
@@ -88,3 +96,36 @@ def test_any_argv_ends_in_an_exit_code(argv):
             code = exc.code
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+def erroring_record(stage: str, problem_id: str) -> str:
+    """The record of ``stage-<stage>.corpus``, which fails in that stage,
+    under another id."""
+    with open(golden(f"stage-{stage}.corpus"), encoding="utf-8") as file:
+        text = file.read()
+    return text.replace(f"[problem t.{stage}]", f"[problem {problem_id}]")
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=10))
+@given(seed=st.integers(0, 10**6), count=st.integers(1, 6),
+       stage=st.sampled_from(STAGES), data=st.data(), json_flag=st.booleans())
+def test_an_erroring_problem_hides_no_other_report(seed, count, stage, data,
+                                                    json_flag):
+    problems = gen.corpus(seed, count)
+    # Sorted among the others at a drawn place: after gen.<place>.
+    place = data.draw(st.integers(0, count - 1))
+    bad = f"gen.{place:05d}.error"
+    text = gen.write_corpus(problems) + "\n" + erroring_record(stage, bad)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mixed.corpus")
+        with open(path, "w", encoding="utf-8") as file:
+            file.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["replay", "--all", "--corpus", path]
+                        + ["--json"] * json_flag)
+    assert code == 3
+    assert err.getvalue().startswith(f"error: {bad}: {stage}: ")
+    assert err.getvalue().count("\n") == 1
+    for p in problems:
+        assert p.id in out.getvalue()

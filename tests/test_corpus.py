@@ -731,6 +731,29 @@ class TestReplay:
             replay(load_corpus(path)[0])
         assert err.value.problem_id == "t.bad"
         assert isinstance(err.value.cause, IrregularDivisor)
+        assert err.value.line is None       # the record expects no step
+
+    @pytest.mark.parametrize("c, stage, line", [
+        ("2", "solve-quadratic", "a.1"),    # radicand 2 is no square
+        ("4", "length", "a.4"),             # S = 11;22,30 is irregular
+    ])
+    def test_procedure_error_names_the_first_step_not_produced(
+            self, tmp_path, c, stage, line):
+        path = write_corpus(tmp_path, "\n".join([
+            "[problem t.bad]",
+            "procedure = quadratic",
+            "given V = 1 volume-sar",
+            "param A = 1",
+            "param B = 0",
+            f"param C = {c}",
+            "expect step u = 2 @ a.1",
+            "expect step v = 1;30 @ a.2",
+            "expect step S = 11;22,30 @ a.3",
+            "expect step x = 1 @ a.4",
+        ]))
+        with pytest.raises(ProcedureError) as err:
+            replay(load_corpus(path)[0])
+        assert (err.value.stage, err.value.line) == (stage, line)
 
     def test_quadratic_without_volume_skips_geometry(self, tmp_path):
         path = write_corpus(tmp_path, "\n".join([
@@ -962,6 +985,7 @@ class TestVerify:
             replay(problem)
         assert (err.value.problem_id, err.value.stage) == (problem_id,
                                                            "verify")
+        assert err.value.line is None       # every step was produced
         assert isinstance(err.value.cause, EquationNotSatisfied)
         assert str(err.value) == \
             f"{problem_id}: verify: {equation} does not hold"

@@ -6,9 +6,12 @@ import.
 """
 
 import importlib
+import os
 import pkgutil
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -118,3 +121,62 @@ def test_package_exports_are_the_module_lists():
 
 def test_every_earlier_export_remains():
     assert EXPORTED_BEFORE <= set(sexakit.__all__)
+
+
+# -- the lazy namespace: each name loads its own module on first use ----------
+
+def source_of(name: str):
+    """The object the package exports as name, read from its module."""
+    if name == "errors":
+        return sexakit.errors
+    for module in (sexa, units, procedures, geometry, corpus):
+        if name in module.__all__:
+            return getattr(module, name)
+    raise LookupError(name)
+
+
+def test_bare_import_loads_no_submodule():
+    # Without site, which imports modules of its own; the standard
+    # modules named are ones that some submodule imports.
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import sexakit\n"
+              "print(*sorted(set(sys.modules) - before))\n")
+    src = os.path.dirname(os.path.dirname(sexakit.__file__))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.split()
+    assert "sexakit" in loaded
+    assert [m for m in loaded if m.startswith("sexakit.")] == []
+    assert {"fractions", "decimal", "enum", "argparse"}.isdisjoint(loaded)
+
+
+@pytest.mark.parametrize("name", sexakit.__all__)
+def test_first_use_loads_the_name_and_keeps_it(monkeypatch, name):
+    # As in a fresh import: the name is not yet bound in the package.
+    monkeypatch.delitem(vars(sexakit), name, raising=False)
+    value = getattr(sexakit, name)
+    assert value is source_of(name)
+    assert vars(sexakit)[name] is value
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from sexakit import *", namespace)
+    for name in sexakit.__all__:
+        assert namespace[name] is source_of(name), name
+
+
+def test_dir_lists_every_export_before_its_first_use(monkeypatch):
+    for name in sexakit.__all__:
+        monkeypatch.delitem(vars(sexakit), name, raising=False)
+    assert set(sexakit.__all__) <= set(dir(sexakit))
+    assert {"__version__", "__getattr__"} <= set(dir(sexakit))
+
+
+def test_unknown_name_is_the_standard_attribute_error():
+    with pytest.raises(AttributeError,
+                       match="^module 'sexakit' has no attribute 'nosuch'$"):
+        sexakit.nosuch

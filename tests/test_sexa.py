@@ -480,15 +480,6 @@ def assert_smooth(n):
     assert k == 0 or 60**(k - 1) % smooth != 0
 
 
-def naive_smallest_prime_factor(n):
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 1
-    return n
-
-
 # Runs of one digit, so zero runs and five-digit chunk boundaries both occur.
 digit_runs = st.lists(
     st.tuples(st.sampled_from([0, 0, 1, 30, 59]) | st.integers(0, 59),
@@ -540,7 +531,7 @@ class TestBulkKernels:
         for n in range(1, 10**5 + 1):
             if math.gcd(n, 30) == 1:
                 assert _smallest_prime_factor(n) == \
-                    naive_smallest_prime_factor(n), n
+                    reference_smallest_prime_factor(n), n
 
     @pytest.mark.parametrize("n,p", [
         (49, 7), (121, 11), (77, 7), (169, 13), (23 * 29, 23), (29 * 31, 29),
@@ -548,7 +539,8 @@ class TestBulkKernels:
         (99991 * 100003, 99991),
     ])
     def test_smallest_prime_factor_near_wheel_gaps(self, n, p):
-        assert _smallest_prime_factor(n) == naive_smallest_prime_factor(n) == p
+        assert _smallest_prime_factor(n) \
+            == reference_smallest_prime_factor(n) == p
 
     def test_long_regular_literal_stays_fast(self):
         # 3**b / 2**a with about 20 000 digit groups.  Parsing one Fraction

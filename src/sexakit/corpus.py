@@ -20,12 +20,13 @@ confirm it; the flag is carried through to the report).  The line is
 the tag without its trailing ``?`` marks and the whitespace among or
 before them (``rev.21 ?`` names ``rev.21``), and it must not be empty.
 
-``load_corpus`` reads and decodes the file ``_LINE_BLOCK`` bytes (64 KiB)
-at a time and parses each block's lines as it goes: a load holds the
-problems built so far and one block, never the decoded file.  A file
-that cannot be read or is not UTF-8 is still reported before any error
-in a line, at its byte offset in the file: after an error in a line,
-the load reads on to the end of the file first.
+``load_corpus`` reads the file through the standard text reader, which
+reads and decodes it a chunk (8 KiB) at a time, and parses each line as
+it comes: a load holds the problems built so far and one chunk, never
+the decoded file.  A file that cannot be read or is not UTF-8 is still
+reported before any error in a line, at its byte offset in the file:
+after an error in a line, the load reads on to the end of the file
+first.
 
 ``PROCEDURES`` is the one table of procedures: each ``ProcedureSpec``
 gives a corpus name, the params and givens a record for it must carry
@@ -39,21 +40,19 @@ default unseen) and a given in another dimension than the entry's.
 substitutes the answers back into the problem's equations with plain
 exact arithmetic, then compares every produced trace step against the
 expectations, label by label, with exact equality; answers are
-compared with their units.  Report text for an
-expectation is settled once, at load: the corpus literal itself when it
-is already canonical, else its rendering; ``replay`` writes only the
-values it computed that mismatch.  A report passes only with zero
-mismatches and zero missing labels.  A failure in ``run`` or ``verify``
-is raised as a ``ProcedureError`` naming the problem and the stage
-(``verify`` for a failed substitution), and the tablet line of the
-first expected step not yet produced.  Adding a procedure is one
-``ProcedureSpec`` entry plus a corpus record that uses it.
+compared with their units.  Report text for an expectation is settled
+once, at load: the corpus literal itself when it is already canonical,
+else its rendering; ``replay`` writes only the values it computed that
+mismatch.  A report passes only with at least one row, zero mismatches
+and zero missing labels.  A failure in ``run`` or ``verify`` is raised
+as a ``ProcedureError`` naming the problem and the stage (``verify``
+for a failed substitution), and the tablet line of the first expected
+step not yet produced.  Adding a procedure is one ``ProcedureSpec``
+entry plus a corpus record that uses it.
 """
 
 from __future__ import annotations
 
-import codecs
-import io
 import os
 import re
 import sys
@@ -251,7 +250,9 @@ class ReplayReport(Record):
 
     @property
     def passed(self) -> bool:
-        return all(r.status == "MATCH" for r in self.rows)
+        """True when there are rows and every one matches: a record with
+        no expectation checks nothing, so it does not pass."""
+        return bool(self.rows) and all(r.status == "MATCH" for r in self.rows)
 
     def to_text(self) -> str:
         lines = [row.to_text(self.problem_id) for row in self.rows]
@@ -282,44 +283,34 @@ def bundled_corpus_path():
     return pathlib.Path(_BUNDLED_PATH)
 
 
-#: How many bytes ``_lines`` reads at once.
-_LINE_BLOCK = 1 << 16
-
-
 def _lines(path: str | os.PathLike) -> Iterator[str]:
     """The items of ``text.split("\n")``, where ``text`` is the file at
-    ``path`` read in text mode as UTF-8, read and decoded ``_LINE_BLOCK``
-    bytes at a time, so a load never holds the decoded file.  A CRLF or
-    a lone CR reads as one newline.  A line that spans blocks is kept as
-    its pieces and joined once, where it ends.  A file that cannot be
-    read or is not UTF-8 raises ``CorpusParseError``."""
-    utf8 = codecs.getincrementaldecoder("utf-8")()
-    decoder = io.IncrementalNewlineDecoder(utf8, translate=True)
-    pieces, read = [], 0
+    ``path`` read in text mode as UTF-8, a chunk at a time by the text
+    reader, so a load never holds the decoded file.  A CRLF or a lone CR
+    reads as one newline.  A file that cannot be read or is not UTF-8
+    raises ``CorpusParseError``."""
     try:
-        with open(os.fspath(path), "rb") as file:
-            while True:
-                block = file.read(_LINE_BLOCK)
-                text = decoder.decode(block, final=not block)
-                first, *rest = text.split("\n")
-                read += len(block)
-                pieces.append(first)
-                if rest:
-                    yield "".join(pieces)
-                    pieces = [rest.pop()]
-                    yield from rest
-                if not block:
-                    break
+        with open(os.fspath(path), encoding="utf-8") as file:
+            line = "\n"  # an empty file is one empty line
+            try:
+                for line in file:
+                    yield line.removesuffix("\n")
+            except UnicodeDecodeError as exc:
+                reason = exc.reason
+                if file.seekable():
+                    # The bytes the decoder held and the chunk just read
+                    # end at the buffer's position.  A pipe has none.
+                    at = file.buffer.tell() - len(exc.object) + exc.start
+                    reason += f" at byte {at}"
+                raise CorpusParseError(
+                    f"corpus {str(path)!r} is not UTF-8 text: {reason}"
+                ) from exc
     except OSError as exc:
         raise CorpusParseError(
             f"cannot read corpus {str(path)!r}: {exc.strerror or exc}"
         ) from exc
-    except UnicodeDecodeError as exc:
-        # exc.start counts from the first byte the decoder still held.
-        raise CorpusParseError(
-            f"corpus {str(path)!r} is not UTF-8 text: {exc.reason} at byte "
-            f"{read - len(utf8.getstate()[0]) + exc.start}") from exc
-    yield "".join(pieces)
+    if line.endswith("\n"):
+        yield ""
 
 
 #: What a step's line tag ends with that is not its line: the "(?)"

@@ -50,8 +50,8 @@ numbers of about one size.  So the time of ``parse`` of an integer
 literal grows about 2.5-3x per doubling of its random groups (Karatsuba
 products).  The gcd is quadratic: a literal of as many fractional
 groups grows about 4x per doubling.  ``render`` still grows about 3.8x
-per doubling, because the long division of 3.10 and 3.11 is schoolbook
-(about 3x on 3.12 and 3.13).  Wall-clock timings drift with the machine
+per doubling, because the long division of 3.11 is schoolbook (about
+3x on 3.12 and 3.13).  Wall-clock timings drift with the machine
 and the interpreter, so they are kept with their hardware in ROADMAP.md
 (item 4), not here.  One kernel, ``_smooth``, strips 2, 3 and 5 for
 ``render``, ``is_regular``, ``reciprocal`` and recognition's quotient
@@ -335,11 +335,6 @@ class Sexa(Fraction):
 
     def __abs__(self):
         return _reduced(abs(self._numerator), self._denominator)
-
-    def __reduce__(self):
-        # Python 3.10's Fraction pickles through str(), which for a value
-        # like 1/7 is "1/7": not a literal that Sexa(str) parses back.
-        return (Sexa, (self._numerator, self._denominator))
 
     def __str__(self) -> str:
         return render(self, fraction_fallback=True)

@@ -26,8 +26,11 @@ given in another dimension than its procedure's, and
 and in JSON), to pin the exit-2 error of each.  ``replay-mixed.corpus``
 holds a problem that passes, one that errors and one that mismatches,
 replayed in text and in JSON, to pin that the error hides neither of
-the other reports and that the run exits 3.  A golden file changes
-only when the output is meant to change.
+the other reports and that the run exits 3.
+``replay-no-checks.corpus`` is the bundled corpus cut after smt24.p1's
+params, a record with no expectation, replayed in text and in JSON, to
+pin that a record that checks nothing fails and the run exits 1.  A
+golden file changes only when the output is meant to change.
 
 The module needs only the standard library, so an interpreter without
 pytest can check every case::
@@ -62,6 +65,7 @@ STAGES = ["solve-quadratic", "breadths", "cross-section", "length",
 NONCANONICAL = ["replay", "--all", "--corpus",
                 golden("replay-noncanonical.corpus")]
 MIXED = ["replay", "--all", "--corpus", golden("replay-mixed.corpus")]
+NO_CHECKS = ["replay", "--all", "--corpus", golden("replay-no-checks.corpus")]
 #: 3000 groups of 59: as p/q, terms past CPython's 4300-digit str(int) limit.
 NINES = ",".join(["59"] * 3000)
 
@@ -107,6 +111,8 @@ CASES = {
                                golden("replay-no-records.corpus")],
     "replay-mixed": MIXED,
     "replay-mixed-json": MIXED + ["--json"],
+    "replay-no-checks": NO_CHECKS,
+    "replay-no-checks-json": NO_CHECKS + ["--json"],
     "eval-oracle-huge": ["eval", f"1,{NINES} / 7", "--oracle"],
     "eval-recognize-huge": ["eval", f"1,{NINES} / 7", "--recognize"],
     "solve-quadratic-huge-negative": ["solve-quadratic", "--", "1", "0",

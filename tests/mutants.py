@@ -82,9 +82,17 @@ MUTANTS = [
      [_BLOCKS + "test_a_bad_byte_is_reported_before_an_earlier_bad_line",
       _BLOCKS + "test_a_read_error_after_the_first_block"]),
     ("bad byte offset without the held bytes", _CORPUS,
-     "{read - len(utf8.getstate()[0]) + exc.start}",
-     "{read + exc.start}",
+     "at = file.buffer.tell() - len(exc.object) + exc.start",
+     "at = file.buffer.tell() + exc.start",
      [_BLOCKS + "test_lines_are_the_split_of_the_text"]),
+    ("no final empty line", _CORPUS,
+     '    if line.endswith("\\n"):\n        yield ""\n', "",
+     [_BLOCKS + "test_lines_are_the_split_of_the_text"]),
+    ("a record that checks nothing passes", _CORPUS,
+     'return bool(self.rows) and all(r.status == "MATCH" for r in self.rows)',
+     'return all(r.status == "MATCH" for r in self.rows)',
+     ["tests/test_golden.py::test_golden_output[replay-no-checks]",
+      "tests/test_golden.py::test_golden_output[replay-no-checks-json]"]),
     ("no stdout flush in main's try", _CLI,
      "        code = args.func(args)\n"
      "        # A write error still buffered surfaces here, not at exit.\n"

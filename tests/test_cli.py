@@ -446,9 +446,8 @@ class TestOutputThatCannotBeWritten:
     def test_a_read_error_is_not_a_write_error(self, capsys, tmp_path):
         path = tmp_path / "eio.corpus"
         path.write_text("# pad\n" * 20)
-        with mock.patch.object(cli.corpus_mod, "_LINE_BLOCK", 32), \
-                mock.patch.object(cli.corpus_mod, "open", FailsAfterOneBlock,
-                                  create=True):
+        with mock.patch.object(cli.corpus_mod, "open",
+                               FailsAfterOneBlock.open, create=True):
             code, out, err = run(capsys, "replay", "--all", "--corpus",
                                  str(path))
         assert (code, out) == (EXIT_INPUT, "")

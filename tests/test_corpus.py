@@ -400,46 +400,89 @@ def split_or_error(path):
                 f"at byte {exc.start}")
 
 
+#: The text reader's own chunk size, in bytes.
+DEFAULT_CHUNK = io.TextIOWrapper(io.BytesIO())._CHUNK_SIZE
+
+
+def chunked(chunk):
+    """Patch ``sexakit.corpus.open`` so that the text file it opens reads
+    ``chunk`` bytes at a time (CPython's writable ``_CHUNK_SIZE``)."""
+    def chunked_open(*args, **kwargs):
+        file = open(*args, **kwargs)
+        file._CHUNK_SIZE = chunk
+        return file
+    return mock.patch.object(sexakit.corpus, "open", chunked_open,
+                             create=True)
+
+
 class FailsAfterOneBlock(io.BufferedReader):
     """A file opened for reading whose reads after the first fail, as a
-    disk error part way through a file would."""
+    disk error part way through a file would.  ``FailsAfterOneBlock.open``
+    stands in for ``open`` in text mode, reading 32 bytes at a time."""
 
-    def __init__(self, path, mode="rb"):
-        super().__init__(io.FileIO(path, mode))
+    def __init__(self, path):
+        super().__init__(io.FileIO(path))
         self.reads = 0
 
-    def read(self, size=-1):
+    @classmethod
+    def open(cls, path, encoding):
+        file = io.TextIOWrapper(cls(path), encoding=encoding)
+        file._CHUNK_SIZE = 32
+        return file
+
+    def _count(self):
         self.reads += 1
         if self.reads > 1:
             raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    def read(self, size=-1):
+        self._count()
         return super().read(size)
+
+    def read1(self, size=-1):
+        self._count()
+        return super().read1(size)
 
 
 class TestLineBlocks:
-    """A load reads and decodes its file one block at a time; where the
-    blocks end changes nothing that it returns or raises."""
+    """A load reads its file through the text reader, a chunk at a time;
+    where the chunks end changes nothing that it returns or raises."""
 
     @given(data=st.lists(st.sampled_from(READER_PIECES), max_size=40).map(
                b"".join),
-           block=st.one_of(st.integers(1, 8),
-                           st.just(sexakit.corpus._LINE_BLOCK)))
-    @example(data=b"", block=1)
-    @example(data=b"a\n", block=1)
-    @example(data=b"\n\n\n\n", block=2)
-    @example(data=b"a\r", block=1)
-    @example(data=b"a\r\nb", block=2)
+           chunk=st.one_of(st.integers(1, 8), st.just(DEFAULT_CHUNK)))
+    @example(data=b"", chunk=1)
+    @example(data=b"a\n", chunk=1)
+    @example(data=b"\n\n\n\n", chunk=2)
+    @example(data=b"a\r", chunk=1)
+    @example(data=b"a\r\nb", chunk=2)
     # A character split across 1-byte reads, then cut short: the bad
     # byte is the character's first, not the one read last.
-    @example(data="a\u20ac".encode() + b"\xe2\x82a", block=1)
-    @example(data=b"a\xe2\x82", block=1)
-    def test_lines_are_the_split_of_the_text(self, reader_path, data, block):
+    @example(data="a\u20ac".encode() + b"\xe2\x82a", chunk=1)
+    @example(data=b"a\xe2\x82", chunk=1)
+    def test_lines_are_the_split_of_the_text(self, reader_path, data, chunk):
         reader_path.write_bytes(data)
-        with mock.patch.object(sexakit.corpus, "_LINE_BLOCK", block):
+        with chunked(chunk):
             try:
                 got = list(_lines(reader_path))
             except CorpusParseError as exc:
                 got = str(exc)
         assert got == split_or_error(reader_path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_a_pipe_that_is_not_utf8_is_reported_without_an_offset(self):
+        # A pipe cannot tell its position, so the message names no byte.
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"[problem t.p1]\n# k\xf9\n")
+        os.close(write_end)
+        path = f"/dev/fd/{read_end}"
+        try:
+            with pytest.raises(CorpusParseError) as err:
+                load_corpus(path)
+        finally:
+            os.close(read_end)
+        assert str(err.value) == (
+            f"corpus {path!r} is not UTF-8 text: invalid start byte")
 
     @pytest.mark.parametrize("name", ["generated", *sorted(
         path.name for path in GOLDEN.glob("*.corpus"))])
@@ -450,22 +493,22 @@ class TestLineBlocks:
         else:
             path = GOLDEN / name
         outcomes = []
-        for block in (1, 7, sexakit.corpus._LINE_BLOCK):
-            with mock.patch.object(sexakit.corpus, "_LINE_BLOCK", block):
+        for chunk in (1, 7, DEFAULT_CHUNK):
+            with chunked(chunk):
                 outcomes.append(load_outcome(path))
         assert outcomes[0] == outcomes[1] == outcomes[2]
         assert outcomes[0] or name == "replay-no-records.corpus"
 
-    @pytest.mark.parametrize("block", [7, sexakit.corpus._LINE_BLOCK])
+    @pytest.mark.parametrize("chunk", [7, DEFAULT_CHUNK])
     def test_a_bad_byte_is_reported_before_an_earlier_bad_line(
-            self, tmp_path, block):
+            self, tmp_path, chunk):
         # The bad literal on line 2 is parsed first; the bad byte lies
-        # more than two blocks later, and is still the error reported.
+        # more than two chunks later, and is still the error reported.
         head = b"[problem t.p1]\nparam A = 4;x\n"
-        padding = b"# padding\n" * (2 * block // 10 + 1)
+        padding = b"# padding\n" * (2 * chunk // 10 + 1)
         path = tmp_path / "late.corpus"
         path.write_bytes(head + padding + b"# k\xf9\n")
-        with mock.patch.object(sexakit.corpus, "_LINE_BLOCK", block):
+        with chunked(chunk):
             with pytest.raises(CorpusParseError) as err:
                 load_corpus(path)
             assert str(err.value) == (
@@ -475,21 +518,20 @@ class TestLineBlocks:
             with pytest.raises(BadLiteral, match="line 2"):
                 load_corpus(path)
 
-    @pytest.mark.parametrize("block", [1, sexakit.corpus._LINE_BLOCK])
+    @pytest.mark.parametrize("chunk", [1, DEFAULT_CHUNK])
     @pytest.mark.parametrize("tail,error", [
         ("", None), ("\u00e9", "line 7: corpus files must be 7-bit text")],
         ids=["loads", "not-7-bit"])
-    def test_a_long_line_reads_in_linear_time(self, tmp_path, block, tail,
+    def test_a_long_line_reads_in_linear_time(self, tmp_path, chunk, tail,
                                               error):
-        # A 1 MiB comment with no newline, as one file's last line: its
-        # pieces are joined once, where it ends.  Joined again at each of
-        # 2**20 one-byte reads, they would copy about 5 * 10**11
-        # characters.
+        # A 1 MiB comment with no newline, as one file's last line.  Were
+        # its pieces joined again at each of 2**20 one-byte reads, they
+        # would copy about 5 * 10**11 characters.
         path = tmp_path / "long.corpus"
         path.write_text(minimal_record("quadratic") + "\n# "
                         + "x" * (1 << 20) + tail, encoding="utf-8")
         start = time.perf_counter()
-        with mock.patch.object(sexakit.corpus, "_LINE_BLOCK", block):
+        with chunked(chunk):
             if error is None:
                 problem, = load_corpus(path)
                 assert problem.id == "t.min"
@@ -502,12 +544,11 @@ class TestLineBlocks:
 
     def test_a_read_error_after_the_first_block(self, tmp_path):
         # A disk error part way through the file is still an unreadable
-        # corpus, and is reported before the bad line of the first block.
+        # corpus, and is reported before the bad line of the first chunk.
         path = tmp_path / "eio.corpus"
         path.write_text("[problem t.p1]\nwibble\n" + "# pad\n" * 20)
-        with mock.patch.object(sexakit.corpus, "_LINE_BLOCK", 32), \
-                mock.patch.object(sexakit.corpus, "open", FailsAfterOneBlock,
-                                  create=True):
+        with mock.patch.object(sexakit.corpus, "open",
+                               FailsAfterOneBlock.open, create=True):
             with pytest.raises(CorpusParseError) as err:
                 load_corpus(path)
         assert str(err.value) == (f"cannot read corpus {str(path)!r}: "

@@ -1239,8 +1239,10 @@ class TestReducedConstruction:
     @pytest.mark.parametrize("x", [Sexa("-0;30"), Sexa(1, 7), Sexa(0),
                                    Sexa("1,0,0;0,0,1") ** 3])
     def test_pickle_and_copy_round_trip(self, x):
-        for y in (pickle.loads(pickle.dumps(x)), copy.copy(x),
-                  copy.deepcopy(x)):
+        # Fraction's own __reduce__ gives (Sexa, (n, d)), which rebuilds it.
+        pickled = [pickle.loads(pickle.dumps(x, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for y in (*pickled, copy.copy(x), copy.deepcopy(x)):
             assert type(y) is Sexa
             assert (y.numerator, y.denominator) == (x.numerator, x.denominator)
 

@@ -13,34 +13,36 @@ module on first use (PEP 562), and is then a plain attribute.
 
 __version__ = "0.1.0"
 
-#: Each public name and the submodule that defines it, in the order of
-#: ``__all__``: ``errors``, the module itself, then each module's own
-#: ``__all__`` in turn, which this table repeats.  A process that loads a
-#: corpus reaches ``load_corpus`` first, so corpus.py, which imports the
-#: rest, is still the first module it compiles: before sexa's digit
-#: tables exist, the import peaks lower.
-_SOURCES = {
-    "errors": "errors",
-    **dict.fromkeys((
+#: Each submodule's public names, in the order of ``__all__``, which
+#: lists ``errors`` first.  Each submodule's own ``__all__`` is its entry
+#: here.  A process that loads a corpus reaches ``load_corpus`` first, so
+#: corpus.py, which imports the rest, is still the first module it
+#: compiles: before sexa's digit tables exist, the import peaks lower.
+_EXPORTS = {
+    "sexa": (
         "Sexa", "parse", "render", "halve", "square", "sqrt_exact",
-        "reciprocal", "is_regular"), "sexa"),
-    **dict.fromkeys((
+        "reciprocal", "is_regular"),
+    "units": (
         "Dimension", "Quantity", "KUS_PER_NINDAN", "qmul", "qdiv",
-        "sar_to_volume_sar", "parse_quantity"), "units"),
-    **dict.fromkeys((
+        "sar_to_volume_sar", "parse_quantity"),
+    "procedures": (
         "Step", "StepTrace", "QuadraticProblem", "SumDifferenceProblem",
         "solve_quadratic_scribal", "solve_sum_difference",
-        "divide_by_recognition", "replay_smt24_p2"), "procedures"),
-    **dict.fromkeys((
+        "divide_by_recognition", "replay_smt24_p2"),
+    "geometry": (
         "CanalConstant", "SMALL_CANAL_CONSTANT", "BREADTH_EXCESS",
         "BREADTH_EXCESS_SHARE", "trapezoid_cross_section", "prism_volume",
         "breadths_from_constraints", "length_from_volume",
-        "depth_from_labor"), "geometry"),
-    **dict.fromkeys((
+        "depth_from_labor"),
+    "corpus": (
         "PROCEDURES", "ProcedureSpec", "ExpectedStep", "TabletProblem",
         "CheckRow", "ReplayReport", "bundled_corpus_path", "load_corpus",
-        "find_problem", "replay"), "corpus"),
+        "find_problem", "replay"),
 }
+
+#: Each public name and the submodule that defines it.
+_SOURCES = {"errors": "errors", **{
+    name: module for module, names in _EXPORTS.items() for name in names}}
 
 __all__ = list(_SOURCES)
 

@@ -60,6 +60,7 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from types import MappingProxyType
 
+from . import _EXPORTS
 from ._record import Record, setfield
 from .errors import (
     BadLiteral,
@@ -90,18 +91,7 @@ from .procedures import (
 from .sexa import _CANONICAL, Sexa, parse, render
 from .units import KUS_PER_NINDAN, Dimension, Quantity, parse_quantity
 
-__all__ = [
-    "PROCEDURES",
-    "ProcedureSpec",
-    "ExpectedStep",
-    "TabletProblem",
-    "CheckRow",
-    "ReplayReport",
-    "bundled_corpus_path",
-    "load_corpus",
-    "find_problem",
-    "replay",
-]
+__all__ = list(_EXPORTS["corpus"])
 
 _BUNDLED_NAME = "susa_excavations.corpus"
 

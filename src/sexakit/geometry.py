@@ -11,6 +11,7 @@ hydraulics behind it.
 
 from __future__ import annotations
 
+from . import _EXPORTS
 from ._record import Record, setfield
 from .errors import (
     DimensionMismatch,
@@ -21,17 +22,7 @@ from .procedures import StepTrace
 from .sexa import _HALF, Sexa, SexaLike, reciprocal
 from .units import Dimension, KUS_PER_NINDAN, Quantity, qdiv, qmul
 
-__all__ = [
-    "CanalConstant",
-    "SMALL_CANAL_CONSTANT",
-    "BREADTH_EXCESS",
-    "BREADTH_EXCESS_SHARE",
-    "trapezoid_cross_section",
-    "prism_volume",
-    "breadths_from_constraints",
-    "length_from_volume",
-    "depth_from_labor",
-]
+__all__ = list(_EXPORTS["geometry"])
 
 
 class CanalConstant(Record):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
+from . import _EXPORTS
 from ._record import Record, setfield
 from .errors import (
     MalformedProblem,
@@ -45,16 +46,7 @@ from .sexa import (
 )
 from .units import Quantity
 
-__all__ = [
-    "Step",
-    "StepTrace",
-    "QuadraticProblem",
-    "SumDifferenceProblem",
-    "solve_quadratic_scribal",
-    "solve_sum_difference",
-    "divide_by_recognition",
-    "replay_smt24_p2",
-]
+__all__ = list(_EXPORTS["procedures"])
 
 TraceValue = Sexa | Quantity
 

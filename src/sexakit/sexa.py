@@ -114,6 +114,7 @@ import struct
 from decimal import Decimal
 from fractions import Fraction
 
+from . import _EXPORTS
 from .errors import (
     IrregularDivisor,
     MalformedLiteral,
@@ -124,16 +125,7 @@ from .errors import (
     ZeroInput,
 )
 
-__all__ = [
-    "Sexa",
-    "parse",
-    "render",
-    "halve",
-    "square",
-    "sqrt_exact",
-    "reciprocal",
-    "is_regular",
-]
+__all__ = list(_EXPORTS["sexa"])
 
 #: Every prime up to this limit is named in an error.  The search stops
 #: at ``_LAST_CANDIDATE``, where the wheel search it replaced stopped.
@@ -280,8 +272,10 @@ class Sexa(Fraction):
     """Exact signed rational with canonical sexagesimal rendering.
 
     ``Sexa("21,9;8,26,15")`` parses a literal; ``Sexa(9, 64)`` builds the
-    fraction 9/64 directly.  Arithmetic stays exact and closed over Sexa.
-    Floats are rejected outright: this type never approximates.
+    fraction 9/64 directly.  Arithmetic stays exact, and ``+ - * /``,
+    their reflected forms, ``**``, negation and ``abs`` give a Sexa again.
+    A float is refused in that arithmetic and by ``Sexa(1.5)``: this
+    type never approximates.
     """
 
     __slots__ = ()
@@ -339,9 +333,9 @@ class Sexa(Fraction):
     def __str__(self) -> str:
         return render(self, fraction_fallback=True)
 
-    def __format__(self, spec: str) -> str:
-        # From Python 3.13 on, Fraction formats an empty spec as p/q.
-        return str(self) if not spec else super().__format__(spec)
+    # An empty spec is str(); any other spec is refused, as Fraction's
+    # spec handling differs between versions and can round.
+    __format__ = object.__format__
 
     def __repr__(self) -> str:
         try:

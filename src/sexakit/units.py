@@ -17,19 +17,12 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 
+from . import _EXPORTS
 from ._record import Record, setfield
 from .errors import DimensionMismatch, MalformedLiteral, ZeroDivisor
 from .sexa import Sexa, SexaLike, parse, reciprocal, render
 
-__all__ = [
-    "Dimension",
-    "Quantity",
-    "KUS_PER_NINDAN",
-    "qmul",
-    "qdiv",
-    "sar_to_volume_sar",
-    "parse_quantity",
-]
+__all__ = list(_EXPORTS["units"])
 
 KUS_PER_NINDAN = Sexa(12)
 

@@ -103,9 +103,20 @@ MUTANTS = [
       "tests/test_cli.py::TestOutputThatCannotBeWritten::"
       "test_a_full_device_in_a_child"]),
     ("eager corpus import", _INIT,
-     '__version__ = "0.1.0"\n',
-     'from .corpus import *\n__version__ = "0.1.0"\n',
+     "__all__ = list(_SOURCES)\n",
+     "__all__ = list(_SOURCES)\nfrom .corpus import *\n",
      ["tests/test_docs.py::test_bare_import_loads_no_submodule"]),
+    ("export moved to another module", _INIT,
+     '"render", "halve", "square", "sqrt_exact",\n'
+     '        "reciprocal", "is_regular"),\n    "units": (\n        ',
+     '"render", "square", "sqrt_exact",\n'
+     '        "reciprocal", "is_regular"),\n    "units": (\n        "halve", ',
+     ["tests/test_docs.py::test_every_export_resolves[sexakit.units]",
+      "tests/test_docs.py::test_first_use_loads_the_name_and_keeps_it"
+      "[halve]"]),
+    ("export dropped", _INIT,
+     '"find_problem", "replay"),', '"find_problem"),',
+     ["tests/test_docs.py::test_every_earlier_export_remains"]),
     ("first use not stored", _INIT,
      "    globals()[name] = value\n", "",
      ["tests/test_docs.py::test_first_use_loads_the_name_and_keeps_it"]),

@@ -274,14 +274,13 @@ def bundled_corpus_path():
 
 
 def _lines(path: str | os.PathLike) -> Iterator[str]:
-    """The items of ``text.split("\n")``, where ``text`` is the file at
-    ``path`` read in text mode as UTF-8, a chunk at a time by the text
-    reader, so a load never holds the decoded file.  A CRLF or a lone CR
-    reads as one newline.  A file that cannot be read or is not UTF-8
-    raises ``CorpusParseError``."""
+    """The lines of the file at ``path``, each without its newline, read
+    in text mode as UTF-8, a chunk at a time by the text reader, so a
+    load never holds the decoded file.  A CRLF or a lone CR reads as one
+    newline, and an empty file has no lines.  A file that cannot be read
+    or is not UTF-8 raises ``CorpusParseError``."""
     try:
         with open(os.fspath(path), encoding="utf-8") as file:
-            line = "\n"  # an empty file is one empty line
             try:
                 for line in file:
                     yield line.removesuffix("\n")
@@ -299,8 +298,6 @@ def _lines(path: str | os.PathLike) -> Iterator[str]:
         raise CorpusParseError(
             f"cannot read corpus {str(path)!r}: {exc.strerror or exc}"
         ) from exc
-    if line.endswith("\n"):
-        yield ""
 
 
 #: What a step's line tag ends with that is not its line: the "(?)"
@@ -362,16 +359,6 @@ class _ProblemBuilder:
             answer_texts=self.answer_texts)
 
 
-def _answer_text(text: str, quantity: Quantity) -> str:
-    """``str(quantity)`` for the answer text "<literal> <unit>": the text
-    itself when its literal is canonical and its unit is the dimension's
-    own spelling (not sar60 or susi)."""
-    literal, unit = text.split()
-    if unit == quantity.dim.value and _CANONICAL.fullmatch(literal):
-        return f"{literal} {unit}"
-    return str(quantity)
-
-
 def load_corpus(path: str | os.PathLike | None = None) -> list[TabletProblem]:
     """Load tablet problems from a corpus file.
 
@@ -381,7 +368,7 @@ def load_corpus(path: str | os.PathLike | None = None) -> list[TabletProblem]:
         path = os.environ.get("SEXAKIT_CORPUS") or _BUNDLED_PATH
     lines = _lines(path)
     try:
-        return _problems(lines)
+        return list(_problems(lines))
     except SexakitError:
         # A file that cannot be read or is not UTF-8 is reported before
         # any error in a line, as if it had been read whole first.
@@ -390,18 +377,12 @@ def load_corpus(path: str | os.PathLike | None = None) -> list[TabletProblem]:
         raise
 
 
-def _problems(lines: Iterator[str]) -> list[TabletProblem]:
-    """The problems of a corpus file's lines, in file order."""
-    problems: list[TabletProblem] = []
+def _problems(lines: Iterator[str]) -> Iterator[TabletProblem]:
+    """The problems of a corpus file's lines, in file order: each one as
+    the next ``[problem`` header, or the end of the lines, ends its
+    record.  The first error in a line or a record is raised."""
     seen: set[str] = set()
     builder: _ProblemBuilder | None = None
-
-    def flush():
-        nonlocal builder
-        if builder is not None:
-            problems.append(builder.finish())
-            builder = None
-
     for line_no, raw in enumerate(lines, start=1):
         if not raw.isascii():
             raise CorpusParseError("corpus files must be 7-bit text",
@@ -414,7 +395,8 @@ def _problems(lines: Iterator[str]) -> list[TabletProblem]:
             if not m:
                 raise CorpusParseError(f"bad problem header {line!r}",
                                        line=line_no)
-            flush()
+            if builder is not None:
+                yield builder.finish()
             pid = m.group(1)
             if pid in seen:
                 raise CorpusParseError(f"duplicate problem id {pid!r}",
@@ -480,12 +462,17 @@ def _problems(lines: Iterator[str]) -> list[TabletProblem]:
                 text=(literal if _CANONICAL.fullmatch(literal)
                       else render(value)))
         elif kind == "answer":
-            builder.answer_texts[name] = _answer_text(literal, value)
+            # str(value), or the text itself when its number is canonical
+            # and its unit the dimension's own spelling (not sar60 or susi).
+            number, unit = literal.split()
+            builder.answer_texts[name] = (
+                f"{number} {unit}" if unit == value.dim.value
+                and _CANONICAL.fullmatch(number) else str(value))
         elif kind == "given":
             builder.given_lines[name] = line_no
         values[name] = value
-    flush()
-    return problems
+    if builder is not None:
+        yield builder.finish()
 
 
 def find_problem(problems: list[TabletProblem], problem_id: str,

@@ -81,15 +81,18 @@ forms and ``== < <= > >=`` read its two terms directly (after one
 gcd of the denominators and one more for a sum or difference.
 ``_reduced`` then sets the result's two slots directly, with no second
 normalization and no throwaway ``Fraction``.  Any other operand (a bool,
-a subclass) goes to ``Fraction``'s own method, and its result through
-``Sexa()``, so a float raises ``TypeError`` in arithmetic and compares
-as it does with a ``Fraction``, and an unknown type gets
-``NotImplemented``.  Negation, ``abs``, ``reciprocal`` (which swaps the
-terms), ``sqrt_exact`` (roots of coprime squares are coprime), ``parse``
-(one gcd) and ``Sexa(fraction)`` build their results the same way, and
-``Sexa(sexa)`` is its argument.  The functions that take a ``SexaLike``
-build their argument with ``Sexa()``, so each refuses a float, parses a
-literal string and refuses a NaN or infinite ``Decimal`` with
+a subclass) goes to ``Fraction``'s own method with the Sexa as a plain
+``Fraction`` (a float comparison there calls ``from_float``, which
+``Sexa`` refuses).  Its result goes through ``_wrap``, as do those of
+``%``, ``//``, ``divmod``, ``**``, ``round`` and ``limit_denominator``:
+a Fraction comes back as a Sexa, a float raises ``TypeError``, and a
+bool, an int or ``NotImplemented`` is as Fraction gave it.  Negation,
+``abs``, ``reciprocal`` (which swaps the terms), ``sqrt_exact`` (roots
+of coprime squares are coprime), ``parse`` (one gcd) and
+``Sexa(fraction)`` build their results the same way, and ``Sexa(sexa)``
+is its argument.  The functions that take a ``SexaLike`` build their
+argument with ``Sexa()``, so each refuses a float, parses a literal
+string and refuses a NaN or infinite ``Decimal`` with
 ``MalformedLiteral``.
 
 Four tables are kept between calls.  Three are built at import:
@@ -178,12 +181,25 @@ def _reduced(n: int, d: int) -> Sexa:
 
 
 def _wrap(value):
-    if value is NotImplemented:
-        return NotImplemented
-    if isinstance(value, float):
-        # Fraction falls back to float for mixed arithmetic; never allow it.
+    """A Fraction method's result as Sexa's gives it: a Fraction as a
+    Sexa, a tuple (divmod's) item by item, a float or complex (Fraction's
+    fallback for mixed arithmetic) refused, anything else as it is."""
+    if isinstance(value, Fraction):
+        return _reduced(value._numerator, value._denominator)
+    if isinstance(value, tuple):
+        return tuple(map(_wrap, value))
+    if isinstance(value, (float, complex)):
         raise TypeError("Sexa arithmetic does not mix with floats")
-    return Sexa(value)
+    return value
+
+
+def _closed(method):
+    """Fraction's ``method`` as Sexa's: its result through ``_wrap``."""
+    def closed(*args, **kwargs):
+        return _wrap(method(*args, **kwargs))
+    closed.__name__ = method.__name__
+    closed.__qualname__ = f"Sexa.{method.__name__}"
+    return closed
 
 
 # Kernels on the terms of two values in lowest terms, na/da and nb/db
@@ -230,13 +246,13 @@ def _le(na: int, da: int, nb: int, db: int) -> bool:
     return na * db <= nb * da
 
 
-def _operators(kernel, fraction_forward, fraction_reverse, wrap=_wrap):
+def _operators(kernel, fraction_forward, fraction_reverse):
     """The methods for ``a op b`` with a Sexa on the left and on the right.
 
     When the other operand's type is exactly Sexa, Fraction or int, both
     compute ``kernel`` on the two values' terms.  Any other operand (a
-    bool or a subclass too) goes to the Fraction method, and its result
-    through ``wrap``.
+    bool or a subclass too) goes to the Fraction method, with the Sexa
+    as a plain Fraction, and its result through ``_wrap``.
     """
     def forward(a, b):
         t = type(b)
@@ -245,7 +261,7 @@ def _operators(kernel, fraction_forward, fraction_reverse, wrap=_wrap):
                           b._numerator, b._denominator)
         if t is int:
             return kernel(a._numerator, a._denominator, b, 1)
-        return wrap(fraction_forward(a, b))
+        return _wrap(fraction_forward(Fraction(a), b))
 
     def reverse(b, a):
         t = type(a)
@@ -254,7 +270,7 @@ def _operators(kernel, fraction_forward, fraction_reverse, wrap=_wrap):
                           b._numerator, b._denominator)
         if t is int:
             return kernel(a, 1, b._numerator, b._denominator)
-        return wrap(fraction_reverse(b, a))
+        return _wrap(fraction_reverse(Fraction(b), a))
 
     for method, fraction_method in ((forward, fraction_forward),
                                     (reverse, fraction_reverse)):
@@ -263,19 +279,17 @@ def _operators(kernel, fraction_forward, fraction_reverse, wrap=_wrap):
     return forward, reverse
 
 
-def _unwrapped(value):
-    """A comparison's result, as Fraction's comparison gave it."""
-    return value
-
-
 class Sexa(Fraction):
     """Exact signed rational with canonical sexagesimal rendering.
 
     ``Sexa("21,9;8,26,15")`` parses a literal; ``Sexa(9, 64)`` builds the
-    fraction 9/64 directly.  Arithmetic stays exact, and ``+ - * /``,
-    their reflected forms, ``**``, negation and ``abs`` give a Sexa again.
-    A float is refused in that arithmetic and by ``Sexa(1.5)``: this
-    type never approximates.
+    fraction 9/64 directly.  Arithmetic stays exact: ``+ - * / % **``,
+    their reflected forms, negation, ``abs``, ``divmod``'s remainder,
+    ``round(x, n)`` and ``limit_denominator`` give a Sexa again, and
+    ``//`` and ``round(x)`` an int.  A float is refused there, by
+    ``Sexa(1.5)`` and by ``from_float``: this type never approximates.
+    So Fraction's float comparison, which calls ``from_float``, is handed
+    the value as a plain ``Fraction``.
     """
 
     __slots__ = ()
@@ -303,16 +317,20 @@ class Sexa(Fraction):
         _div, Fraction.__truediv__, Fraction.__rtruediv__)
 
     # b > a is a < b: the reflected form of < is >, and of <= is >=.
-    __lt__, __gt__ = _operators(_lt, Fraction.__lt__, Fraction.__gt__,
-                                _unwrapped)
-    __le__, __ge__ = _operators(_le, Fraction.__le__, Fraction.__ge__,
-                                _unwrapped)
-    __eq__ = _operators(_eq, Fraction.__eq__, Fraction.__eq__, _unwrapped)[0]
+    __lt__, __gt__ = _operators(_lt, Fraction.__lt__, Fraction.__gt__)
+    __le__, __ge__ = _operators(_le, Fraction.__le__, Fraction.__ge__)
+    __eq__ = _operators(_eq, Fraction.__eq__, Fraction.__eq__)[0]
     # A class body that defines __eq__ would otherwise set __hash__ to None.
     __hash__ = Fraction.__hash__
 
-    def __pow__(self, other):
-        return _wrap(Fraction.__pow__(self, other))
+    # The rest of Fraction's arithmetic, closed the same way.  Floor
+    # division and round() with no digits give an int, as Fraction's do.
+    (__pow__, __mod__, __rmod__, __divmod__, __rdivmod__, __floordiv__,
+     __rfloordiv__, __round__, limit_denominator) = map(_closed, (
+        Fraction.__pow__, Fraction.__mod__, Fraction.__rmod__,
+        Fraction.__divmod__, Fraction.__rdivmod__, Fraction.__floordiv__,
+        Fraction.__rfloordiv__, Fraction.__round__,
+        Fraction.limit_denominator))
 
     def __rpow__(self, other):
         # Fraction.__rpow__ hands a rational base back to ``**``, which
@@ -320,6 +338,12 @@ class Sexa(Fraction):
         if isinstance(other, (int, Fraction)):
             return _wrap(Fraction.__pow__(Fraction(other), self))
         return _wrap(Fraction.__rpow__(self, other))
+
+    @classmethod
+    def from_float(cls, f):
+        if isinstance(f, float):
+            return cls(f)               # refused, as Sexa(1.5) is
+        return super().from_float(f)
 
     def __neg__(self):
         return _reduced(-self._numerator, self._denominator)

@@ -30,6 +30,7 @@ _BULK = "tests/test_sexa.py::TestBulkKernels::"
 _REGISTRY = "tests/test_corpus.py::TestRegistry::"
 _LOAD = "tests/test_corpus.py::TestLoad::"
 _BLOCKS = "tests/test_corpus.py::TestLineBlocks::"
+_REDUCED = "tests/test_sexa.py::TestReducedConstruction::"
 
 #: (name, file, old text, new text, test ids that must fail).
 MUTANTS = [
@@ -85,9 +86,17 @@ MUTANTS = [
      "at = file.buffer.tell() - len(exc.object) + exc.start",
      "at = file.buffer.tell() + exc.start",
      [_BLOCKS + "test_lines_are_the_split_of_the_text"]),
-    ("no final empty line", _CORPUS,
-     '    if line.endswith("\\n"):\n        yield ""\n', "",
-     [_BLOCKS + "test_lines_are_the_split_of_the_text"]),
+    ("last record not yielded", _CORPUS,
+     "    if builder is not None:\n        yield builder.finish()\n", "",
+     [_LOAD + "test_bundled_problems"]),
+    ("divmod remainder left a Fraction", _SEXA,
+     "        return tuple(map(_wrap, value))\n", "        return value\n",
+     [_REDUCED + "test_wrapped_operations_match_fraction[divmod(x, y)]",
+      _REDUCED + "test_wrapped_operations_match_fraction[divmod(y, x)]"]),
+    ("float comparison through Sexa.from_float", _SEXA,
+     "return _wrap(fraction_forward(Fraction(a), b))",
+     "return _wrap(fraction_forward(a, b))",
+     [_REDUCED + "test_float_comparisons_match_fraction"]),
     ("a record that checks nothing passes", _CORPUS,
      'return bool(self.rows) and all(r.status == "MATCH" for r in self.rows)',
      'return all(r.status == "MATCH" for r in self.rows)',

@@ -390,11 +390,13 @@ def reader_path(tmp_path_factory):
 
 def split_or_error(path):
     """The items of the file's text, read whole in text mode as UTF-8,
-    split at "\n"; or, for a file that is not UTF-8, the load's message
-    with the byte offset that decoding the whole file gives."""
+    split at "\n", less the empty item after a last "\n" (or of an empty
+    file); or, for a file that is not UTF-8, the load's message with the
+    byte offset that decoding the whole file gives."""
     try:
         with open(path, encoding="utf-8") as file:
-            return file.read().split("\n")
+            items = file.read().split("\n")
+        return items[:-1] if items[-1] == "" else items
     except UnicodeDecodeError as exc:
         return (f"corpus {str(path)!r} is not UTF-8 text: {exc.reason} "
                 f"at byte {exc.start}")

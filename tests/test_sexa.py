@@ -217,8 +217,10 @@ class TestArithmetic:
             assert isinstance(value, Sexa)
 
     def test_floats_rejected(self):
-        with pytest.raises(TypeError):
-            Sexa(0.5)
+        for build in Sexa, Sexa.from_float:
+            with pytest.raises(TypeError, match="^Sexa cannot be built from "
+                                                "a float"):
+                build(0.5)
         with pytest.raises(TypeError):
             Sexa("0;30") + 0.5
 
@@ -1102,6 +1104,36 @@ def outcome(call):
         return "raises", type(exc)
 
 
+def assert_like_result(result, expected):
+    """result is Fraction's result expected as Sexa gives it: a Fraction
+    as a Sexa, a tuple item by item, anything else of its own type."""
+    if isinstance(expected, tuple):
+        assert type(result) is tuple and len(result) == len(expected)
+        for got, want in zip(result, expected):
+            assert_like_result(got, want)
+    elif isinstance(expected, Fraction):
+        assert_like_fraction(result, expected)
+    else:
+        assert type(result) is type(expected) and result == expected
+
+
+#: The rest of Fraction's arithmetic, which Sexa sends through ``_wrap``,
+#: on a value x and an operand y.
+WRAPPED = {
+    "x % y": operator.mod,
+    "y % x": lambda x, y: y % x,
+    "divmod(x, y)": divmod,
+    "divmod(y, x)": lambda x, y: divmod(y, x),
+    "x // y": operator.floordiv,
+    "y // x": lambda x, y: y // x,
+    "round(x, 2)": lambda x, y: round(x, 2),
+    "round(x, -1)": lambda x, y: round(x, -1),
+    "round(x)": lambda x, y: round(x),
+    "x.limit_denominator(10)": lambda x, y: x.limit_denominator(10),
+    "from_float(y)": lambda x, y: type(x).from_float(y),
+}
+
+
 class TestReducedConstruction:
     @given(ratios, ratios)
     def test_binary_ops_match_fraction(self, a, b):
@@ -1297,6 +1329,27 @@ class TestReducedConstruction:
                 lambda: op(fx, other))
             assert outcome(lambda: op(other, x)) == outcome(
                 lambda: op(other, fx))
+
+    @pytest.mark.parametrize("name", WRAPPED)
+    @given(a=ratios, b=ratios)
+    def test_wrapped_operations_match_fraction(self, name, a, b):
+        # Fraction's result, with a Fraction as a Sexa and an int kept an
+        # int.  A float is refused: in a result, and by from_float.
+        op, fa, sa = WRAPPED[name], Fraction(*a), Sexa(*a)
+        for y in (Sexa(*b), Fraction(*b), b[0], IntSub(b[0]), b[0] > 0,
+                  b[0] / b[1]):
+            kind, want = outcome(
+                lambda: op(fa, Fraction(y) if type(y) is Sexa else y))
+            floats = want if isinstance(want, tuple) else (want,)
+            if kind == "value" and (
+                    any(isinstance(v, float) for v in floats)
+                    or name == "from_float(y)" and isinstance(y, float)):
+                kind, want = "raises", TypeError
+            if kind == "raises":
+                with pytest.raises(want):
+                    op(sa, y)
+            else:
+                assert_like_result(op(sa, y), want)
 
     @given(ratios)
     def test_hash_and_fraction_keyed_lookup(self, a):

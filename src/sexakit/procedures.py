@@ -37,7 +37,7 @@ from .errors import (
 from .sexa import (
     Sexa,
     SexaLike,
-    _smooth,
+    _rough,
     halve,
     reciprocal,
     render,
@@ -213,7 +213,7 @@ def divide_by_recognition(n: SexaLike, d: SexaLike) -> Sexa:
     if d == 0:
         raise ZeroDivisor("cannot recognize a quotient for divisor 0")
     q = n / d
-    if _smooth(q.denominator)[0] != 1:
+    if _rough(q.denominator) != 1:
         raise NoFiniteQuotient(q)
     return q
 

@@ -53,13 +53,20 @@ groups grows about 4x per doubling.  ``render`` still grows about 3.8x
 per doubling, because the long division of 3.11 is schoolbook (about
 3x on 3.12 and 3.13).  Wall-clock timings drift with the machine
 and the interpreter, so they are kept with their hardware in ROADMAP.md
-(item 4), not here.  One kernel, ``_smooth``, strips 2, 3 and 5 for
-``render``, ``is_regular``, ``reciprocal`` and recognition's quotient
-test: it gives (rough, k), the number without those factors and the
-least k with its 60-smooth part dividing 60**k.  It takes one shift and
-O(log e) divisions per prime power p**e, each linear in the length of
-the number, so it keeps a quadratic term.  Rejecting an irregular
-number is the exception: naming the prime in
+(item 4), not here.  ``render`` strips 2, 3 and 5 with ``_smooth``,
+which gives (rough, k), the number without those factors and the least
+k with its 60-smooth part dividing 60**k: the number of fractional
+digits to write, which only the valuations give.  It takes one shift
+and O(log e) divisions per prime power p**e, each linear in the length
+of the number, so it keeps a quadratic term.  ``is_regular``,
+``reciprocal`` and recognition's quotient test need only the rough
+part, from ``_rough``: one shift for the twos, two remainders for an
+odd part m with no factor 3 or 5, else, for m of b bits, one modular
+power ``pow(15, b, m)`` and one gcd, a few products of the length of
+m.  Past ``_POWER_BITS`` (1600 bits) ``_smooth`` answers instead, since
+there its valuations can be the faster (measured on 3.11-3.13, see
+CHANGES.md).
+Rejecting an irregular number is the exception: naming the prime in
 ``IrregularDivisor``/``NonTerminating`` searches the rough part m for
 its smallest prime p, up to sqrt(m) when m is prime, or up to
 ``_LAST_CANDIDATE`` (1000021, just past ``_PRIME_SEARCH_LIMIT``,
@@ -86,14 +93,16 @@ a subclass) goes to ``Fraction``'s own method with the Sexa as a plain
 ``Sexa`` refuses).  Its result goes through ``_wrap``, as do those of
 ``%``, ``//``, ``divmod``, ``**``, ``round`` and ``limit_denominator``:
 a Fraction comes back as a Sexa, a float raises ``TypeError``, and a
-bool, an int or ``NotImplemented`` is as Fraction gave it.  Negation,
+bool, an int or ``NotImplemented`` is as Fraction gave it.  A power
+with a non-integer rational exponent, which Fraction would take in
+floats, raises ``TypeError`` before it runs.  Negation,
 ``abs``, ``reciprocal`` (which swaps the terms), ``sqrt_exact`` (roots
 of coprime squares are coprime), ``parse`` (one gcd) and
 ``Sexa(fraction)`` build their results the same way, and ``Sexa(sexa)``
 is its argument.  The functions that take a ``SexaLike`` build their
 argument with ``Sexa()``, so each refuses a float, parses a literal
 string and refuses a NaN or infinite ``Decimal`` with
-``MalformedLiteral``.
+``MalformedLiteral``, as ``Sexa.from_decimal`` does.
 
 Four tables are kept between calls.  Three are built at import:
 ``_GROUP_VALUES``, the value of each of the 70 group spellings the
@@ -287,9 +296,11 @@ class Sexa(Fraction):
     their reflected forms, negation, ``abs``, ``divmod``'s remainder,
     ``round(x, n)`` and ``limit_denominator`` give a Sexa again, and
     ``//`` and ``round(x)`` an int.  A float is refused there, by
-    ``Sexa(1.5)`` and by ``from_float``: this type never approximates.
-    So Fraction's float comparison, which calls ``from_float``, is handed
-    the value as a plain ``Fraction``.
+    ``Sexa(1.5)`` and by ``from_float``, and so is a non-integer power
+    (``sqrt_exact`` takes the scribal root): this type never
+    approximates.  So Fraction's float comparison, which calls
+    ``from_float``, is handed the value as a plain ``Fraction``.
+    ``from_decimal`` refuses a NaN or infinity, as ``Sexa()`` does.
     """
 
     __slots__ = ()
@@ -325,18 +336,25 @@ class Sexa(Fraction):
 
     # The rest of Fraction's arithmetic, closed the same way.  Floor
     # division and round() with no digits give an int, as Fraction's do.
-    (__pow__, __mod__, __rmod__, __divmod__, __rdivmod__, __floordiv__,
+    (__mod__, __rmod__, __divmod__, __rdivmod__, __floordiv__,
      __rfloordiv__, __round__, limit_denominator) = map(_closed, (
-        Fraction.__pow__, Fraction.__mod__, Fraction.__rmod__,
-        Fraction.__divmod__, Fraction.__rdivmod__, Fraction.__floordiv__,
-        Fraction.__rfloordiv__, Fraction.__round__,
-        Fraction.limit_denominator))
+        Fraction.__mod__, Fraction.__rmod__, Fraction.__divmod__,
+        Fraction.__rdivmod__, Fraction.__floordiv__, Fraction.__rfloordiv__,
+        Fraction.__round__, Fraction.limit_denominator))
+
+    def __pow__(self, other):
+        # Fraction takes a power with a non-integer rational exponent in
+        # floats, so that is refused before it runs.
+        if isinstance(other, Fraction) and other._denominator != 1:
+            raise TypeError("a non-integer power is not exact; "
+                            "sqrt_exact takes the scribal root")
+        return _wrap(Fraction.__pow__(self, other))
 
     def __rpow__(self, other):
         # Fraction.__rpow__ hands a rational base back to ``**``, which
         # would come here again: raise the base to this power directly.
         if isinstance(other, (int, Fraction)):
-            return _wrap(Fraction.__pow__(Fraction(other), self))
+            return Sexa.__pow__(Fraction(other), self)
         return _wrap(Fraction.__rpow__(self, other))
 
     @classmethod
@@ -344,6 +362,12 @@ class Sexa(Fraction):
         if isinstance(f, float):
             return cls(f)               # refused, as Sexa(1.5) is
         return super().from_float(f)
+
+    @classmethod
+    def from_decimal(cls, dec):
+        if isinstance(dec, Decimal):
+            return cls(dec)             # refuses a NaN, as Sexa() does
+        return super().from_decimal(dec)
 
     def __neg__(self):
         return _reduced(-self._numerator, self._denominator)
@@ -509,9 +533,39 @@ def _smooth(n: int) -> tuple[int, int]:
     return n, k
 
 
+#: The longest odd part, in bits, that ``_rough`` strips by a modular
+#: power.  Over odd parts that are powers of 3, of 5, products of both,
+#: and such products times 7, the power was the faster on 3.11, 3.12 and
+#: 3.13 up to here, and slower first on powers of 3, from 3**1024 (1624
+#: bits) on; CHANGES.md has the table.
+_POWER_BITS = 1600
+
+
+def _rough(n: int) -> int:
+    """n > 0 without its factors 2, 3 and 5: ``_smooth(n)[0]``, without
+    the valuations.
+
+    The twos go in one shift.  An odd part m with neither 3 nor 5 as a
+    factor is its own rough part.  Else let m = 3**i * 5**j * r, of b
+    bits.  3**i and 5**j are at most m < 2**b, so both divide 15**b and
+    so its residue mod m, which is prime to r as 15**b is: the gcd of m
+    and that residue is 3**i * 5**j.  One modular power and one gcd
+    decide it, a few products of the length of m.  An m longer than
+    ``_POWER_BITS`` goes to ``_smooth``, whose valuations can be the
+    faster there.
+    """
+    odd = n >> ((n & -n).bit_length() - 1)
+    if odd % 3 and odd % 5:
+        return odd
+    bits = odd.bit_length()
+    if bits > _POWER_BITS:
+        return _smooth(odd)[0]
+    return odd // math.gcd(odd, pow(15, bits, odd))
+
+
 def _smallest_prime_factor(n: int) -> int | None:
     """The smallest prime factor of n > 1 coprime to 30 (a rough part
-    from ``_smooth``), found by a blockwise search.
+    from ``_rough`` or ``_smooth``), found by a blockwise search.
 
     One gcd of n with the product of the primes in each block in turn.
     The first block that shares a factor with n holds n's smallest prime
@@ -634,7 +688,7 @@ def is_regular(x: SexaLike) -> bool:
     f = Sexa(x)
     if f == 0:
         raise ZeroInput("0 has no regularity status (no reciprocal)")
-    return _smooth(abs(f.numerator) * f.denominator)[0] == 1
+    return _rough(abs(f.numerator) * f.denominator) == 1
 
 
 def reciprocal(x: SexaLike) -> Sexa:
@@ -644,7 +698,7 @@ def reciprocal(x: SexaLike) -> Sexa:
         raise ZeroInput("0 has no reciprocal")
     # One strip of the two terms' product: its rough part holds the
     # smallest prime factor of either.
-    rough, _ = _smooth(abs(f.numerator) * f.denominator)
+    rough = _rough(abs(f.numerator) * f.denominator)
     if rough != 1:
         raise IrregularDivisor(f, _smallest_prime_factor(rough))
     n, d = f.numerator, f.denominator

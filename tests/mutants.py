@@ -31,6 +31,7 @@ _REGISTRY = "tests/test_corpus.py::TestRegistry::"
 _LOAD = "tests/test_corpus.py::TestLoad::"
 _BLOCKS = "tests/test_corpus.py::TestLineBlocks::"
 _REDUCED = "tests/test_sexa.py::TestReducedConstruction::"
+_ROUGH = "tests/test_sexa.py::TestRoughPart::"
 
 #: (name, file, old text, new text, test ids that must fail).
 MUTANTS = [
@@ -71,6 +72,17 @@ MUTANTS = [
      "k = max(k, count)", "k = count",
      ["tests/test_sexa.py::TestRender::test_values",
       _BULK + "test_smooth_large_powers"]),
+    ("_rough: smooth part for the rough part", _SEXA,
+     "return odd // math.gcd(odd, pow(15, bits, odd))",
+     "return math.gcd(odd, pow(15, bits, odd))",
+     [_ROUGH + "test_matches_one_factor_loop",
+      _ROUGH + "test_odd_part_at_the_power_bound",
+      "tests/test_sexa.py::TestRegularity::test_examples"]),
+    ("_rough: twos not stripped", _SEXA,
+     "    odd = n >> ((n & -n).bit_length() - 1)\n", "    odd = n\n",
+     [_ROUGH + "test_matches_one_factor_loop",
+      "tests/test_sexa.py::TestRegularity::test_examples[2400-True]",
+      "tests/test_sexa.py::TestReciprocal::test_table[40,0-0;0,1,30]"]),
     ("tag keeps its blanks", _CORPUS,
      "tablet_line = tag.rstrip(_TAG_MARKS)", 'tablet_line = tag.rstrip("?")',
      [_LOAD + "test_uncertain_tag_names_its_line",

@@ -13,12 +13,13 @@ import threading
 import time
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sexakit
-from sexakit import sexa
+from sexakit import procedures, sexa
 from sexakit.errors import (
     InputError,
     IrregularDivisor,
@@ -33,11 +34,13 @@ from sexakit.sexa import (
     _BLOCKS,
     _CANONICAL,
     _LAST_CANDIDATE,
+    _POWER_BITS,
     _PRIME_SEARCH_LIMIT,
     Sexa,
     _digits,
     _malformed,
     _reduced,
+    _rough,
     _smallest_prime_factor,
     _smooth,
     halve,
@@ -48,6 +51,7 @@ from sexakit.sexa import (
     sqrt_exact,
     square,
 )
+from sexakit.procedures import divide_by_recognition
 from sexakit.units import Dimension, Quantity
 
 #: The grammar ``parse`` accepts, after ``strip``, as a regex: sign,
@@ -642,6 +646,72 @@ class TestBoundedPrimeSearch:
         assert str(err.value) == message
 
 
+# -- the rough part by a modular power against the valuation loop ------------
+
+#: The rough parts ``_rough`` is checked with: none, the irregular primes
+#: 7 and 7**2, the largest prime below 10**6, and SEMIPRIME.
+ROUGH_PARTS = (1, 7, 49, 999983, SEMIPRIME)
+
+
+def of_bits(bits, m):
+    """An odd 3**i * 5**j * m of exactly ``bits`` bits."""
+    for j in range(bits):
+        x = 5**j * m
+        while x.bit_length() < bits:
+            x *= 3
+        if x.bit_length() == bits:
+            return x
+    raise AssertionError(f"no 3**i * 5**j * {m} of {bits} bits")
+
+
+def smooth_rough(n):
+    """The rough part as the valuation loop gives it."""
+    return _smooth(n)[0]
+
+
+def detail(call):
+    """call()'s result with its type, or its error's type, text and prime."""
+    try:
+        value = call()
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "prime", None)
+    return type(value), value
+
+
+class TestRoughPart:
+    @given(st.integers(0, 300), st.integers(0, 700), st.integers(0, 500),
+           st.sampled_from(ROUGH_PARTS))
+    def test_matches_one_factor_loop(self, a, b, c, m):
+        # Odd parts of up to about 2300 bits: each side of _POWER_BITS.
+        n = 2**a * 3**b * 5**c * m
+        assert _rough(n) == naive_smooth(n)[0] == m
+
+    @pytest.mark.parametrize("bits", [_POWER_BITS, _POWER_BITS + 1])
+    @pytest.mark.parametrize("m", ROUGH_PARTS)
+    def test_odd_part_at_the_power_bound(self, bits, m):
+        # The last odd part the power strips, and the first _smooth does.
+        odd = of_bits(bits, m)
+        assert odd.bit_length() == bits
+        for twos in (0, 1, 2, 61):
+            assert _rough(odd << twos) == smooth_rough(odd << twos) == m
+
+    @given(st.integers(-40, 40), st.integers(-700, 700),
+           st.integers(-500, 500), st.sampled_from(ROUGH_PARTS),
+           st.sampled_from(ROUGH_PARTS), st.sampled_from([1, -1]))
+    def test_callers_answer_as_the_valuation_loop(self, a, b, c, p, q, sign):
+        # is_regular, reciprocal and recognition's quotient test: the same
+        # value, or the same error, message and prime, as with _smooth.
+        x = sign * Sexa(2)**a * Sexa(3)**b * Sexa(5)**c * Sexa(p, q)
+        calls = (lambda: is_regular(x), lambda: reciprocal(x),
+                 lambda: divide_by_recognition(1, x),
+                 lambda: divide_by_recognition(x, 7))
+        got = [detail(call) for call in calls]
+        with mock.patch.object(sexa, "_rough", smooth_rough), \
+                mock.patch.object(procedures, "_rough", smooth_rough):
+            want = [detail(call) for call in calls]
+        assert got == want
+
+
 # -- the block search against the wheel loop it replaced ---------------------
 
 #: Gaps between successive integers coprime to 30, starting from 7.
@@ -1198,14 +1268,16 @@ class TestReducedConstruction:
     @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
                                     operator.truediv, operator.pow])
     def test_float_on_either_side_raises(self, op):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="does not mix with floats"):
             op(Sexa(1, 2), 0.5)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="does not mix with floats"):
             op(0.5, Sexa(1, 2))
 
     def test_fractional_power_would_be_a_float(self):
         for base in (2, Fraction(2), Sexa(2)):
-            with pytest.raises(TypeError):
+            with pytest.raises(TypeError, match="^a non-integer power is "
+                                                "not exact; sqrt_exact takes "
+                                                "the scribal root$"):
                 base ** Sexa(1, 2)
 
     @pytest.mark.parametrize("function", [render, is_regular, reciprocal,
@@ -1223,8 +1295,8 @@ class TestReducedConstruction:
             assert outcome(lambda: function(x)) == outcome(
                 lambda: function(like))
 
-    @pytest.mark.parametrize("function", [Sexa, render, is_regular,
-                                          reciprocal, sqrt_exact])
+    @pytest.mark.parametrize("function", [Sexa, Sexa.from_decimal, render,
+                                          is_regular, reciprocal, sqrt_exact])
     @pytest.mark.parametrize("x", [Decimal("NaN"), Decimal("-NaN"),
                                    Decimal("sNaN"), Decimal("Infinity"),
                                    Decimal("-Infinity")])
@@ -1235,6 +1307,11 @@ class TestReducedConstruction:
         assert isinstance(info.value, InputError)
         assert isinstance(info.value, ValueError)
         assert str(info.value) == f"{x!r}: not a finite number"
+
+    @pytest.mark.parametrize("x", [Decimal("0.5"), Decimal("-1.25E-3"),
+                                   Decimal("7"), Decimal("-0"), 3, True])
+    def test_from_decimal_of_a_finite_value(self, x):
+        assert_like_fraction(Sexa.from_decimal(x), Fraction.from_decimal(x))
 
     def test_sexa_argument_is_returned_as_is(self):
         x = Sexa("1,9;22,30")
@@ -1360,3 +1437,82 @@ class TestReducedConstruction:
         if fa.denominator == 1:
             assert hash(sa) == hash(fa.numerator)
             assert {fa.numerator: "i"}[sa] == "i"
+
+
+# -- what Sexa does with each public attribute of Fraction --------------------
+
+#: Each public attribute of Fraction and what Sexa does with it: "own",
+#: Sexa binds its own; "closed", Sexa's binding sends Fraction's result
+#: through ``_wrap``; "inherited", Sexa keeps Fraction's, for the reason
+#: given.  A third item is the first Python that has the attribute.
+FRACTION_SURFACE = {
+    "__new__": ("own", "parses a literal; refuses a float and a NaN"),
+    "__abs__": ("own", "the terms, with the numerator's sign dropped"),
+    "__neg__": ("own", "the terms, with the numerator negated"),
+    "__pos__": ("own", "the value itself"),
+    "__str__": ("own", "the base-60 literal"),
+    "__repr__": ("own", "Sexa and the literal"),
+    "__format__": ("own", "str() or a refused spec", (3, 12)),
+    "__hash__": ("own", "Fraction's, bound again beside __eq__"),
+    "from_float": ("own", "refuses a float, as Sexa(1.5) does"),
+    "from_decimal": ("own", "refuses a NaN or infinity, as Sexa() does"),
+    **dict.fromkeys(
+        ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+         "__truediv__", "__rtruediv__", "__eq__", "__lt__", "__gt__",
+         "__le__", "__ge__"),
+        ("closed", "a kernel on the terms, else Fraction's method")),
+    **dict.fromkeys(
+        ("__pow__", "__rpow__", "__mod__", "__rmod__", "__divmod__",
+         "__rdivmod__", "__floordiv__", "__rfloordiv__", "__round__",
+         "limit_denominator"),
+        ("closed", "Fraction's method")),
+    "__bool__": ("inherited", "a bool"),
+    "is_integer": ("inherited", "a bool", (3, 12)),
+    "__int__": ("inherited", "an int"),
+    "__trunc__": ("inherited", "an int"),
+    "__floor__": ("inherited", "an int"),
+    "__ceil__": ("inherited", "an int"),
+    "numerator": ("inherited", "an int term"),
+    "denominator": ("inherited", "an int term"),
+    "as_integer_ratio": ("inherited", "the two int terms"),
+    "imag": ("inherited", "the int 0"),
+    "real": ("inherited", "+x, which is x"),
+    "conjugate": ("inherited", "+x, which is x"),
+    "__float__": ("inherited", "float(x) asks for a float by name"),
+    "__complex__": ("inherited", "complex(x) asks for a complex by name"),
+    "__copy__": ("inherited", "type(x)(n, d), a Sexa"),
+    "__deepcopy__": ("inherited", "type(x)(n, d), a Sexa"),
+    "__reduce__": ("inherited", "unpickled as type(x)(n, d), a Sexa"),
+}
+
+
+def fraction_surface():
+    """Fraction's public attributes: each method, property or classmethod
+    that Fraction or one of its ``numbers`` bases binds, bar private
+    names."""
+    return {name for cls in Fraction.__mro__[:-1]
+            for name, value in vars(cls).items()
+            if (not name.startswith("_") or name.endswith("__"))
+            and hasattr(value, "__get__")}
+
+
+def binding(name):
+    """How Sexa binds name: "inherited", "closed" or "own"."""
+    if name not in vars(Sexa):
+        return "inherited"
+    method = vars(Sexa)[name]
+    code = getattr(getattr(method, "__func__", method), "__code__", None)
+    return "closed" if code and "_wrap" in code.co_names else "own"
+
+
+class TestInheritedSurface:
+    def test_the_table_names_every_public_attribute_of_fraction(self):
+        listed = {name for name, (_, _, *since) in FRACTION_SURFACE.items()
+                  if sys.version_info >= (since or [(0,)])[0]}
+        surface = fraction_surface()
+        assert surface - listed == set(), "not in FRACTION_SURFACE"
+        assert listed - surface == set(), "not an attribute of Fraction"
+
+    @pytest.mark.parametrize("name", sorted(FRACTION_SURFACE))
+    def test_sexa_binds_each_name_as_the_table_says(self, name):
+        assert binding(name) == FRACTION_SURFACE[name][0]

@@ -280,7 +280,14 @@ def _lines(path: str | os.PathLike) -> Iterator[str]:
     newline, and an empty file has no lines.  A file that cannot be read
     or is not UTF-8 raises ``CorpusParseError``."""
     try:
-        with open(os.fspath(path), encoding="utf-8") as file:
+        try:
+            file = open(os.fspath(path), encoding="utf-8")
+        except ValueError as exc:
+            # A NUL byte in the path.  Only the open is guarded: a
+            # UnicodeDecodeError, a ValueError too, is reported below.
+            raise CorpusParseError(
+                f"cannot read corpus {str(path)!r}: {exc}") from exc
+        with file:
             try:
                 for line in file:
                     yield line.removesuffix("\n")

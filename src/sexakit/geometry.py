@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatch,
     InconsistentConstraint,
     NonPositiveDimension,
+    _written,
 )
 from .procedures import StepTrace
 from .sexa import _HALF, Sexa, SexaLike, reciprocal
@@ -92,7 +93,8 @@ def breadths_from_constraints(upper: SexaLike, *,
     v = u * _HALF + excess
     if u < v:
         raise InconsistentConstraint(
-            f"upper breadth {u} is smaller than the derived lower breadth {v}")
+            f"upper breadth {_written(u)} is smaller than the derived lower "
+            f"breadth {_written(v)}")
     z = KUS_PER_NINDAN * (excess + Sexa(excess_share) * (u - v))
     return v, z
 

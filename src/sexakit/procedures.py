@@ -33,6 +33,7 @@ from .errors import (
     NegativeRadicand,
     NoFiniteQuotient,
     ZeroDivisor,
+    _written,
 )
 from .sexa import (
     Sexa,
@@ -180,7 +181,7 @@ def solve_quadratic_scribal(p: QuadraticProblem) -> tuple[Sexa, StepTrace]:
     ac = trace.record("AC", p.a * p.c)
     radicand = half_b_sq + ac
     if radicand < 0:
-        raise NegativeRadicand(f"(B/2)^2 + A*C = {radicand} < 0")
+        raise NegativeRadicand(f"(B/2)^2 + A*C = {_written(radicand)} < 0")
     trace.record("radicand", radicand)
     root = trace.record("root", sqrt_exact(radicand))
     root_plus = trace.record("root_plus", root + half_b)
@@ -195,7 +196,7 @@ def solve_sum_difference(p: SumDifferenceProblem) -> tuple[Sexa, Sexa, StepTrace
     half_diff_sq = trace.record("half_diff_sq", square(half_diff))
     radicand = half_diff_sq + p.prod
     if radicand < 0:
-        raise NegativeRadicand(f"((x-y)/2)^2 + xy = {radicand} < 0")
+        raise NegativeRadicand(f"((x-y)/2)^2 + xy = {_written(radicand)} < 0")
     trace.record("radicand", radicand)
     half_sum = trace.record("half_sum", sqrt_exact(radicand))
     x = trace.record("x", half_sum + half_diff)

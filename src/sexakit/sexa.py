@@ -135,6 +135,7 @@ from .errors import (
     NotAPerfectSquare,
     UnwritableValue,
     ZeroInput,
+    _written,
 )
 
 __all__ = list(_EXPORTS["sexa"])
@@ -709,10 +710,11 @@ def sqrt_exact(x: SexaLike) -> Sexa:
     """The nonnegative y with y*y == x, refusing anything inexact."""
     f = Sexa(x)
     if f < 0:
-        raise NegativeRadicand(f"square root of negative value {f}")
+        raise NegativeRadicand(f"square root of negative value {_written(f)}")
     num, den = f.numerator, f.denominator
     root_num = math.isqrt(num)
     root_den = math.isqrt(den)
     if root_num * root_num != num or root_den * root_den != den:
-        raise NotAPerfectSquare(f"{f} is not the square of a rational")
+        raise NotAPerfectSquare(
+            f"{_written(f)} is not the square of a rational")
     return _reduced(root_num, root_den)

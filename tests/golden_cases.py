@@ -35,7 +35,10 @@ golden file changes only when the output is meant to change.
 The module needs only the standard library, so an interpreter without
 pytest can check every case::
 
-    PYTHONPATH=src python tests/golden_cases.py
+    PYTHONPATH=src python -S -B tests/golden_cases.py
+
+``-S`` leaves out ``site``, and with it pytest, so the run fails if the
+module ever comes to need pytest; ``-B`` writes no bytecode.
 
 It unsets ``SEXAKIT_CORPUS``, prints each case whose transcript differs
 from its golden file, and exits 1 if any does.  ``tests/test_golden.py``

@@ -163,6 +163,11 @@ MUTANTS = [
      "        args = parser.parse_args(argv)\n",
      ["tests/test_cli.py::TestOutputThatCannotBeWritten::"
       "test_help_that_cannot_be_written"]),
+    ("sqrt_exact writes its value with str", _SEXA,
+     'f"{_written(f)} is not the square of a rational"',
+     'f"{f} is not the square of a rational"',
+     ["tests/test_procedures.py::test_an_unwritable_value_keeps_its_error_type"
+      "[sqrt_exact-not-square]"]),
 ]
 
 #: The child: pytest on argv[2:], then the id of every failed test

@@ -12,7 +12,15 @@ tier-1 needs::
 
     PYTHONPATH=src python tests/reach.py [pytest arguments]
 
-It takes about twice as long as tier-1 itself.
+It takes about twice as long as tier-1 itself.  CI makes this its one
+traced tier-1 run, under ``-O`` and with ``SEXAKIT_CORPUS`` set::
+
+    SEXAKIT_CORPUS=tests/golden/replay-noncanonical.corpus \\
+        PYTHONPATH=src python -O tests/reach.py -q
+
+so the same run shows that no correctness check rests on an ``assert``
+in sexakit and that tier-1 ignores a caller's corpus.  Under ``-O`` an
+``assert`` compiles to no line, so it is neither executable nor reached.
 """
 
 import dis

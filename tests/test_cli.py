@@ -338,15 +338,18 @@ class TestReplayCommand:
         assert out == ""
         assert err == "error: corpus has no [problem] records\n"
 
-    @pytest.mark.parametrize("target", ["missing", "directory", "latin1"])
+    @pytest.mark.parametrize("target", ["missing", "directory", "latin1",
+                                        "nul"])
     def test_unreadable_corpus_exits_two(self, capsys, tmp_path, target):
         path = {"missing": tmp_path / "missing.corpus",
                 "directory": tmp_path,
-                "latin1": tmp_path / "latin1.corpus"}[target]
+                "latin1": tmp_path / "latin1.corpus",
+                "nul": tmp_path / "a\0b.corpus"}[target]
         (tmp_path / "latin1.corpus").write_bytes(b"# k\xf9\n")
         code, out, err = run(capsys, "replay", "--all", "--corpus", str(path))
         assert code == EXIT_INPUT
         assert out == "" and err.startswith("error: ")
+        assert len(err.splitlines()) == 1
         assert "Traceback" not in err
 
     def test_env_var_override(self, capsys, tmp_path, monkeypatch):

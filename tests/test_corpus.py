@@ -315,6 +315,13 @@ class TestLoad:
                 load_corpus(path)
             assert str(path) in str(err.value)
 
+    def test_a_path_with_a_nul_byte_is_a_parse_error(self):
+        # open() refuses it with a ValueError, before any system call.
+        with pytest.raises(CorpusParseError) as err:
+            load_corpus("a\0b")
+        assert str(err.value) \
+            == "cannot read corpus 'a\\x00b': embedded null byte"
+
     def test_seven_bit_only(self, tmp_path):
         path = write_corpus(tmp_path, "[problem t.p1]\n# kùš\n")
         with pytest.raises(CorpusParseError):

@@ -9,6 +9,7 @@ import pytest
 
 import sexakit.procedures
 from sexakit.errors import (
+    InconsistentConstraint,
     IrregularDivisor,
     MalformedProblem,
     NegativeRadicand,
@@ -16,6 +17,7 @@ from sexakit.errors import (
     NotAPerfectSquare,
     ZeroDivisor,
 )
+from sexakit.geometry import breadths_from_constraints
 from sexakit.procedures import (
     QuadraticProblem,
     Step,
@@ -25,7 +27,7 @@ from sexakit.procedures import (
     solve_quadratic_scribal,
     solve_sum_difference,
 )
-from sexakit.sexa import Sexa, render, square
+from sexakit.sexa import Sexa, render, sqrt_exact, square
 
 
 def quadratic_oracle_positive_branch(a, b, c):
@@ -209,6 +211,30 @@ class TestDivideByRecognition:
         assert divide_by_recognition(n, 2) * 2 == n
         with pytest.raises(NoFiniteQuotient):
             divide_by_recognition(1, 7)
+
+
+#: No base-60 literal, and a p/q numerator past the str(int) limit.
+UNWRITABLE = Fraction(10 ** 5000, 7)
+
+
+@pytest.mark.parametrize("call,error", [
+    pytest.param(lambda: sqrt_exact(UNWRITABLE), NotAPerfectSquare,
+                 id="sqrt_exact-not-square"),
+    pytest.param(lambda: sqrt_exact(-UNWRITABLE), NegativeRadicand,
+                 id="sqrt_exact-negative"),
+    pytest.param(lambda: solve_quadratic_scribal(
+        QuadraticProblem(1, 0, -UNWRITABLE)), NegativeRadicand,
+                 id="quadratic"),
+    pytest.param(lambda: solve_sum_difference(
+        SumDifferenceProblem(0, -UNWRITABLE)), NegativeRadicand,
+                 id="sum-difference"),
+    pytest.param(lambda: breadths_from_constraints(
+        Fraction(1, 7 * 10 ** 5000)), InconsistentConstraint, id="breadths"),
+])
+def test_an_unwritable_value_keeps_its_error_type(call, error):
+    # The message writes the value by its size, as NonTerminating does.
+    with pytest.raises(error, match="a value with a term of about "):
+        call()
 
 
 class TestIdentity:
